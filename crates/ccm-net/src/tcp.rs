@@ -19,20 +19,27 @@
 //! concurrent requests coalesce into one syscall — the classic
 //! group-commit shape. Block payloads ride the train as shared
 //! `Arc<[u8]>` segments, so an 8 KB block goes from the peer's store to
-//! the socket without a copy. [`TcpConfig::max_train_bytes`] bounds the
-//! staged backlog: pushers briefly yield instead of growing a train past
-//! the cap while the peer is slow.
+//! the socket without a copy. [`MAX_TRAIN_BYTES`] bounds the staged
+//! backlog: pushers briefly yield instead of growing a train past the cap
+//! while the peer is slow, and a writer facing a full socket blocks in
+//! `poll(2)` until it drains.
 //!
-//! The receive side is one *reactor thread per node* (replacing the old
-//! acceptor + per-connection demux and reply-reader threads). The reactor
-//! owns the node's nonblocking listener, every inbound connection, and
-//! the read half of every outbound connection the node dialed. Inbound
-//! frames are reassembled incrementally ([`FrameAssembler`]) and
-//! forwarded to the service inbox; requests that need replies park a
-//! per-connection FIFO of reply receivers which the reactor harvests
-//! without blocking — so many requests stream down one connection
-//! *pipelined*, their replies batched into a reply train, instead of the
-//! old lockstep request/reply-per-thread cycle.
+//! The receive side is one *reactor thread per node*, owning the node's
+//! nonblocking listener, every inbound connection, and the read half of
+//! every outbound connection it dialed. Inbound frames are reassembled
+//! ([`FrameAssembler`]) and forwarded to the service inbox; a request that
+//! needs a reply parks its reply receiver in the connection's FIFO, so
+//! requests stream down one connection *pipelined*. Replies skip the
+//! reactor: each reply channel's notify hook makes the thread that
+//! completes a reply write the connection's ready replies, in order.
+//!
+//! The reactor's one blocking point is `poll(2)` over its sockets and a
+//! wake socket. Socket bytes wake it by readiness (a writer in another
+//! process needs no signal); the wake socket carries what the kernel cannot
+//! see — a new connection to watch, a reply train waiting for `POLLOUT`,
+//! shutdown — and is written only once the reactor has flagged that it is
+//! about to block. After traffic it stays hot for `HOT_WINDOW` (polling
+//! without blocking), so back-to-back round trips skip a sleep/wake pair.
 //!
 //! ## Connection lifecycle
 //!
@@ -79,49 +86,29 @@ use crate::wire::{FrameAssembler, FrameTrain, WireMsg, WIRE_VERSION};
 use ccm_core::{BlockId, NodeId};
 use ccm_obs::{Counter, Gauge, Registry};
 use ccm_rt::{PeerMsg, Transport};
-use simcore::chan::{unbounded, Receiver, Sender, TryRecvError};
+use simcore::chan::{notified, unbounded, Notify, Receiver, Sender, TryRecvError};
 use simcore::sync::{Mutex, RwLock};
 use simcore::FxHashMap;
 use std::collections::VecDeque;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for the connection manager and data plane.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpConfig {
-    /// Per-attempt dial timeout.
-    pub connect_timeout: Duration,
-    /// Backoff after the first failure on a link.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling (doubles per consecutive failure up to this).
-    pub max_backoff: Duration,
-    /// Staged-outbox ceiling per connection: once a train holds this many
-    /// bytes while a flush is in progress, further pushers yield until the
-    /// writer drains it (bounded memory under a slow peer — the moral
-    /// equivalent of the old blocking write).
-    pub max_train_bytes: usize,
-    /// Longest mailbox wait an idle reactor takes between polls. Wakeups
-    /// are normally on demand (writers nudge the reactor as frames hit
-    /// the wire), so this only bounds staleness for traffic from writers
-    /// that cannot nudge (a future remote process).
-    pub max_idle_sleep: Duration,
-}
-
-impl Default for TcpConfig {
-    fn default() -> TcpConfig {
-        TcpConfig {
-            connect_timeout: Duration::from_secs(1),
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            max_train_bytes: 256 * 1024,
-            max_idle_sleep: Duration::from_micros(500),
-        }
-    }
-}
+/// Staged-outbox ceiling per connection: once a train holds this many
+/// bytes while a flush is in progress, further pushers yield until the
+/// writer drains it (bounded memory under a slow peer).
+pub const MAX_TRAIN_BYTES: usize = 256 * 1024;
+/// Per-attempt dial timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+/// Backoff after the first failure on a link; doubles per consecutive
+/// failure up to [`MAX_BACKOFF`].
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
 /// Wire/connection counters (diagnostics; monotonic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -132,13 +119,15 @@ pub struct NetStats {
     pub connect_failures: u64,
     /// Established connections torn down (error, EOF, or node restart).
     pub teardowns: u64,
-    /// Frames written (requests, forwards, invalidates, barriers, hellos,
-    /// and the replies written by reactors).
+    /// Frames handed to sockets (requests, forwards, invalidates, barriers,
+    /// hellos, and replies). Credited just before the write that carries
+    /// them, so a reader can never count a frame in before its writer
+    /// counted it out.
     pub frames_sent: u64,
     /// Frames delivered to service inboxes or pending tables.
     pub frames_received: u64,
-    /// Frame trains flushed — each is one vectored-write batch, so
-    /// `frames_sent / trains_sent` is the realized coalescing factor.
+    /// Frame trains handed to sockets — each is one vectored-write batch,
+    /// so `frames_sent / trains_sent` is the realized coalescing factor.
     pub trains_sent: u64,
 }
 
@@ -174,69 +163,48 @@ struct NetObs {
 
 impl NetObs {
     fn new(registry: &Registry, nodes: usize) -> NetObs {
-        let mut links = Vec::with_capacity(nodes * nodes);
-        for from in 0..nodes {
-            for to in 0..nodes {
-                if from == to {
-                    links.push(None);
-                    continue;
-                }
-                let (f, t) = (from.to_string(), to.to_string());
-                let l = [("src", f.as_str()), ("dst", t.as_str())];
-                links.push(Some(LinkObs {
-                    frames_out: registry.counter(
-                        "ccm_net_frames_out_total",
-                        "Wire frames written, by direction",
-                        &l,
-                    ),
-                    bytes_out: registry.counter(
-                        "ccm_net_bytes_out_total",
-                        "Wire bytes written (length prefixes included), by direction",
-                        &l,
-                    ),
-                    frames_in: registry.counter(
-                        "ccm_net_frames_in_total",
-                        "Wire frames read, by direction",
-                        &l,
-                    ),
-                    bytes_in: registry.counter(
-                        "ccm_net_bytes_in_total",
-                        "Wire bytes read (length prefixes included), by direction",
-                        &l,
-                    ),
-                    dials: registry.counter(
-                        "ccm_net_dials_total",
-                        "Dial attempts on this link",
-                        &l,
-                    ),
-                    dial_failures: registry.counter(
-                        "ccm_net_dial_failures_total",
-                        "Dial attempts that failed",
-                        &l,
-                    ),
-                    teardowns: registry.counter(
-                        "ccm_net_teardowns_total",
-                        "Established connections torn down (error, EOF, or restart)",
-                        &l,
-                    ),
-                    degrades: registry.counter(
-                        "ccm_net_degrades_total",
-                        "Sends refused or failed on this link (caller degrades to the backing store)",
-                        &l,
-                    ),
-                    pending_replies: registry.gauge(
-                        "ccm_net_pending_replies",
-                        "Requests awaiting a wire reply on this link",
-                        &l,
-                    ),
-                    backoff_ms: registry.gauge(
-                        "ccm_net_backoff_ms",
-                        "Reconnect backoff being served (0 while the link is healthy)",
-                        &l,
-                    ),
-                }));
+        let link = |from: usize, to: usize| {
+            let (f, t) = (from.to_string(), to.to_string());
+            let l = [("src", f.as_str()), ("dst", t.as_str())];
+            let counter = |name, help| registry.counter(name, help, &l);
+            let gauge = |name, help| registry.gauge(name, help, &l);
+            LinkObs {
+                frames_out: counter(
+                    "ccm_net_frames_out_total",
+                    "Wire frames written, by direction",
+                ),
+                bytes_out: counter(
+                    "ccm_net_bytes_out_total",
+                    "Wire bytes written (length prefixes included), by direction",
+                ),
+                frames_in: counter("ccm_net_frames_in_total", "Wire frames read, by direction"),
+                bytes_in: counter(
+                    "ccm_net_bytes_in_total",
+                    "Wire bytes read (length prefixes included), by direction",
+                ),
+                dials: counter("ccm_net_dials_total", "Dial attempts on this link"),
+                dial_failures: counter("ccm_net_dial_failures_total", "Dial attempts that failed"),
+                teardowns: counter(
+                    "ccm_net_teardowns_total",
+                    "Established connections torn down (error, EOF, or restart)",
+                ),
+                degrades: counter(
+                    "ccm_net_degrades_total",
+                    "Sends refused or failed on this link (caller degrades to the backing store)",
+                ),
+                pending_replies: gauge(
+                    "ccm_net_pending_replies",
+                    "Requests awaiting a wire reply on this link",
+                ),
+                backoff_ms: gauge(
+                    "ccm_net_backoff_ms",
+                    "Reconnect backoff being served (0 while the link is healthy)",
+                ),
             }
-        }
+        };
+        let links = (0..nodes * nodes)
+            .map(|i| (i / nodes != i % nodes).then(|| link(i / nodes, i % nodes)))
+            .collect();
         NetObs { links, nodes }
     }
 
@@ -294,6 +262,7 @@ impl PendingMap {
 type PendingTable = Arc<PendingMap>;
 
 /// The staged frames of one connection, plus the group-commit state.
+#[derive(Default)]
 struct Outbox {
     train: FrameTrain,
     /// A thread is currently flushing; pushers just stage and return.
@@ -315,12 +284,8 @@ impl Conn {
     fn new(sock: TcpStream) -> Conn {
         Conn {
             sock,
-            pending: Arc::new(PendingMap::default()),
-            outbox: Mutex::new(Outbox {
-                train: FrameTrain::new(),
-                writing: false,
-                dead: false,
-            }),
+            pending: Arc::default(),
+            outbox: Mutex::default(),
         }
     }
 
@@ -354,25 +319,80 @@ struct NodeSlot {
     inbox: RwLock<Sender<PeerMsg>>,
 }
 
-/// Work handed to a node's reactor thread.
-enum ReactorCmd {
-    /// Watch the read half of an outbound connection this node dialed:
-    /// demux replies into its pending table.
-    Watch { dst: NodeId, conn: Arc<Conn> },
-    /// Frames were just put on the wire toward this node: wake up and
-    /// read them. In-process writers nudge after every train flush, so an
-    /// idle reactor blocks on its mailbox instead of sleeping blind and
-    /// the first frame after a lull pays one channel wakeup, not a nap.
-    Nudge,
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: i32) -> i32;
+}
+
+impl PollFd {
+    fn new(sock: &impl AsRawFd, events: i16) -> PollFd {
+        PollFd {
+            fd: sock.as_raw_fd(),
+            events,
+            revents: 0,
+        }
+    }
+}
+
+/// Block until some entry of `fds` is ready or `timeout` passes (`None`
+/// waits indefinitely). Returns how many entries are ready; an interrupted
+/// wait reports 0 and the caller simply re-polls.
+fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
+    // Round up: a sub-millisecond deadline must not become a busy loop.
+    let ms = timeout.map_or(-1, |t| {
+        t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+    });
+    // SAFETY: `fds` is a valid, exclusively borrowed array of `pollfd`s.
+    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, ms) };
+    n.max(0) as usize
+}
+
+/// A reactor's mailbox: connections it should start watching, and the
+/// wake socket that interrupts its `poll`.
+struct Mailbox {
+    /// Outbound connections this node dialed, awaiting adoption.
+    watch: Mutex<Vec<(NodeId, Arc<Conn>)>>,
+    /// Write end of the wake socket; the read end sits in the poll set.
+    wake_tx: UnixStream,
+    /// The reactor is blocking (or about to block) in `poll`.
+    parked: AtomicBool,
+    /// Something changed the reactor's poll set since its last pass.
+    kicked: AtomicBool,
+}
+
+impl Mailbox {
+    /// Make the reactor rebuild its poll set. The byte is written only if
+    /// the reactor announced it is about to block: it re-checks `kicked`
+    /// after raising `parked`, so one of the two always sees the other.
+    fn wake(&self) {
+        self.kicked.store(true, Ordering::SeqCst);
+        if self.parked.swap(false, Ordering::SeqCst) {
+            let _ = (&self.wake_tx).write(&[1]);
+        }
+    }
 }
 
 struct TcpShared {
-    cfg: TcpConfig,
     slots: Vec<NodeSlot>,
     /// Row-major `src * nodes + dst`.
     links: Vec<Mutex<Link>>,
     /// Per-node reactor mailboxes (index = node).
-    reactor_tx: Vec<Sender<ReactorCmd>>,
+    mailboxes: Vec<Mailbox>,
     next_req: AtomicU64,
     stop: AtomicBool,
     connects: AtomicU64,
@@ -393,9 +413,14 @@ impl TcpShared {
         self.slots[dst.index()].inbox.read().send(msg).is_ok()
     }
 
-    /// Wake `node`'s reactor: frames for it just hit the wire.
-    fn nudge(&self, node: NodeId) {
-        let _ = self.reactor_tx[node.index()].send(ReactorCmd::Nudge);
+    /// Credit `frames`/`bytes` as one train written `src → dst`. Called
+    /// before the write, so the peer cannot count them in first.
+    fn credit_out(&self, src: NodeId, dst: NodeId, frames: u64, bytes: u64) {
+        self.frames_sent.fetch_add(frames, Ordering::Relaxed);
+        self.trains_sent.fetch_add(1, Ordering::Relaxed);
+        let o = self.obs.pair(src, dst);
+        o.frames_out.add(frames);
+        o.bytes_out.add(bytes);
     }
 
     /// Tear an established connection down and arm the backoff. No-op if
@@ -415,7 +440,7 @@ impl TcpShared {
             let o = self.obs.pair(src, dst);
             o.teardowns.inc();
             o.backoff_ms.set(link.backoff.as_millis() as i64);
-            link.backoff = (link.backoff * 2).min(self.cfg.max_backoff);
+            link.backoff = (link.backoff * 2).min(MAX_BACKOFF);
             self.teardowns.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -440,46 +465,6 @@ fn conn_failed(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>) {
     }
 }
 
-/// Flush one detached train, retrying through `WouldBlock` (the peer's
-/// reactor always drains, so this terminates unless the connection dies).
-/// Counts wire metrics only once the whole train is on the wire.
-fn write_train(
-    shared: &TcpShared,
-    src: NodeId,
-    dst: NodeId,
-    conn: &Conn,
-    train: &mut FrameTrain,
-) -> bool {
-    loop {
-        match train.write_some(&mut &conn.sock) {
-            Ok(true) => {
-                shared
-                    .frames_sent
-                    .fetch_add(train.frames(), Ordering::Relaxed);
-                shared.trains_sent.fetch_add(1, Ordering::Relaxed);
-                let o = shared.obs.pair(src, dst);
-                o.frames_out.add(train.frames());
-                o.bytes_out.add(train.bytes());
-                shared.nudge(dst);
-                return true;
-            }
-            Ok(false) => {
-                if conn.outbox.lock().dead {
-                    return false;
-                }
-                std::thread::yield_now();
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Stage `frame` on the connection's outbox and make sure somebody
-/// flushes it — see [`pump_frames`].
-fn pump(shared: &TcpShared, src: NodeId, dst: NodeId, conn: &Arc<Conn>, frame: &WireMsg) -> bool {
-    pump_frames(shared, src, dst, conn, std::slice::from_ref(frame))
-}
-
 /// Stage `frames` on the connection's outbox as one unit and make sure
 /// somebody flushes them: if a writer is already active they ride its next
 /// batch (group commit); otherwise the caller becomes the writer and
@@ -493,7 +478,7 @@ fn pump_frames(
     conn: &Arc<Conn>,
     frames: &[WireMsg],
 ) -> bool {
-    let cap = shared.cfg.max_train_bytes as u64;
+    let cap = MAX_TRAIN_BYTES as u64;
     let mut ob = conn.outbox.lock();
     if ob.dead {
         return false;
@@ -518,7 +503,18 @@ fn pump_frames(
     loop {
         let mut train = ob.train.take();
         drop(ob);
-        if !write_train(shared, src, dst, conn, &mut train) {
+        shared.credit_out(src, dst, train.frames(), train.bytes());
+        // Block in `poll` while the socket is full: the peer's reactor
+        // always drains, and a kill's shutdown ends the wait.
+        let written = loop {
+            match train.write_some(&mut &conn.sock) {
+                Ok(false) if !conn.outbox.lock().dead => {
+                    poll_fds(&mut [PollFd::new(&conn.sock, POLLOUT)], None);
+                }
+                done => break matches!(done, Ok(true)),
+            }
+        };
+        if !written {
             conn_failed(shared, src, dst, conn);
             conn.outbox.lock().writing = false;
             return false;
@@ -542,13 +538,14 @@ pub struct TcpLan {
 }
 
 impl TcpLan {
-    /// Bind `nodes` listeners on loopback ephemeral ports with default
-    /// tuning.
+    /// Bind `nodes` listeners on loopback ephemeral ports.
     ///
     /// # Errors
     /// Any socket error while binding or spawning reactors.
     pub fn loopback(nodes: usize) -> std::io::Result<TcpLan> {
-        TcpLan::with_config(nodes, TcpConfig::default())
+        // A private registry: the counters still count (NetStats reads
+        // them through the same handles), the series just go nowhere.
+        TcpLan::loopback_obs(nodes, &Registry::default())
     }
 
     /// [`TcpLan::loopback`], registering per-link wire metrics
@@ -558,30 +555,10 @@ impl TcpLan {
     /// # Errors
     /// Any socket error while binding or spawning reactors.
     pub fn loopback_obs(nodes: usize, registry: &Registry) -> std::io::Result<TcpLan> {
-        TcpLan::with_config_obs(nodes, TcpConfig::default(), registry)
-    }
-
-    /// Bind `nodes` listeners on loopback ephemeral ports.
-    ///
-    /// # Errors
-    /// Any socket error while binding or spawning reactors.
-    pub fn with_config(nodes: usize, cfg: TcpConfig) -> std::io::Result<TcpLan> {
-        // A private registry: the counters still count (NetStats reads
-        // them through the same handles), the series just go nowhere.
-        TcpLan::with_config_obs(nodes, cfg, &Registry::default())
-    }
-
-    /// [`TcpLan::with_config`] with per-link wire metrics on `registry`.
-    ///
-    /// # Errors
-    /// Any socket error while binding or spawning reactors.
-    pub fn with_config_obs(
-        nodes: usize,
-        cfg: TcpConfig,
-        registry: &Registry,
-    ) -> std::io::Result<TcpLan> {
         let mut listeners = Vec::with_capacity(nodes);
         let mut slots = Vec::with_capacity(nodes);
+        let mut wake_rxs = Vec::with_capacity(nodes);
+        let mut mailboxes = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             listener.set_nonblocking(true)?;
@@ -594,27 +571,29 @@ impl TcpLan {
                 addr,
                 inbox: RwLock::new(tx),
             });
-        }
-        let mut reactor_tx = Vec::with_capacity(nodes);
-        let mut reactor_rx = Vec::with_capacity(nodes);
-        for _ in 0..nodes {
-            let (tx, rx) = unbounded();
-            reactor_tx.push(tx);
-            reactor_rx.push(rx);
+            let (wake_tx, wake_rx) = UnixStream::pair()?;
+            wake_tx.set_nonblocking(true)?;
+            wake_rx.set_nonblocking(true)?;
+            wake_rxs.push(wake_rx);
+            mailboxes.push(Mailbox {
+                watch: Mutex::new(Vec::new()),
+                wake_tx,
+                parked: AtomicBool::new(false),
+                kicked: AtomicBool::new(false),
+            });
         }
         let shared = Arc::new(TcpShared {
-            cfg,
             slots,
             links: (0..nodes * nodes)
                 .map(|_| {
                     Mutex::new(Link {
                         conn: None,
-                        backoff: cfg.initial_backoff,
+                        backoff: INITIAL_BACKOFF,
                         retry_at: None,
                     })
                 })
                 .collect(),
-            reactor_tx,
+            mailboxes,
             next_req: AtomicU64::new(1),
             stop: AtomicBool::new(false),
             connects: AtomicU64::new(0),
@@ -627,14 +606,14 @@ impl TcpLan {
         });
         let reactors = listeners
             .into_iter()
-            .zip(reactor_rx)
+            .zip(wake_rxs)
             .enumerate()
-            .map(|(i, (listener, cmds))| {
+            .map(|(i, (listener, wake_rx))| {
                 let shared = shared.clone();
                 let node = NodeId(i as u16);
                 std::thread::Builder::new()
                     .name(format!("ccm-net-reactor-{i}"))
-                    .spawn(move || reactor_loop(shared, node, listener, cmds))
+                    .spawn(move || reactor_loop(shared, node, listener, wake_rx))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(TcpLan {
@@ -681,49 +660,34 @@ impl TcpLan {
         let addr = self.shared.slots[dst.index()].addr;
         let obs = self.shared.obs.pair(src, dst);
         obs.dials.inc();
-        let fail = |link: &mut Link| {
+        let dial = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).and_then(|sock| {
+            sock.set_nodelay(true)?;
+            sock.set_nonblocking(true)?;
+            Ok(sock)
+        });
+        let Ok(sock) = dial else {
             self.shared.connect_failures.fetch_add(1, Ordering::Relaxed);
             obs.dial_failures.inc();
             obs.backoff_ms.set(link.backoff.as_millis() as i64);
             link.retry_at = Some(Instant::now() + link.backoff);
-            link.backoff = (link.backoff * 2).min(self.shared.cfg.max_backoff);
-        };
-        let dial =
-            TcpStream::connect_timeout(&addr, self.shared.cfg.connect_timeout).and_then(|sock| {
-                sock.set_nodelay(true)?;
-                sock.set_nonblocking(true)?;
-                Ok(sock)
-            });
-        let sock = match dial {
-            Ok(sock) => sock,
-            Err(_) => {
-                fail(link);
-                return None;
-            }
+            link.backoff = (link.backoff * 2).min(MAX_BACKOFF);
+            return None;
         };
         let conn = Arc::new(Conn::new(sock));
         // The Hello is staged, not written: it coalesces into the same
-        // train as the first request, and `pump` flushes them together.
+        // train as the first request, and `pump_frames` flushes them together.
         conn.outbox.lock().train.push(&WireMsg::Hello {
             version: WIRE_VERSION,
             node: src,
         });
         // Hand the read half to our reactor for reply demux.
-        if self.shared.reactor_tx[src.index()]
-            .send(ReactorCmd::Watch {
-                dst,
-                conn: conn.clone(),
-            })
-            .is_err()
-        {
-            // Reactor already gone (shutdown race): treat as a failed dial.
-            fail(link);
-            return None;
-        }
+        let mailbox = &self.shared.mailboxes[src.index()];
+        mailbox.watch.lock().push((dst, conn.clone()));
+        mailbox.wake();
         self.shared.connects.fetch_add(1, Ordering::Relaxed);
         obs.backoff_ms.set(0);
         link.conn = Some(conn.clone());
-        link.backoff = self.shared.cfg.initial_backoff;
+        link.backoff = INITIAL_BACKOFF;
         link.retry_at = None;
         Some(conn)
     }
@@ -750,54 +714,42 @@ impl TcpLan {
             Some(req_id)
         };
         let frame = match msg {
-            PeerMsg::BlockRequest { block, reply } => match correlate(Pending::Block(reply)) {
-                Some(req_id) => WireMsg::BlockRequest { req_id, block },
-                None => {
-                    obs.degrades.inc();
-                    conn_failed(&self.shared, src, dst, &conn);
-                    return false;
-                }
-            },
+            PeerMsg::BlockRequest { block, reply } => correlate(Pending::Block(reply))
+                .map(|req_id| WireMsg::BlockRequest { req_id, block }),
             PeerMsg::Forward {
                 block,
                 data,
                 displace,
-            } => WireMsg::Forward {
+            } => Some(WireMsg::Forward {
                 block,
                 data,
                 displace,
-            },
-            PeerMsg::Invalidate { block } => WireMsg::Invalidate { block },
+            }),
+            PeerMsg::Invalidate { block } => Some(WireMsg::Invalidate { block }),
             PeerMsg::WriteInvalidate { block, version } => {
-                WireMsg::WriteInvalidate { block, version }
+                Some(WireMsg::WriteInvalidate { block, version })
             }
-            PeerMsg::Barrier { reply } => match correlate(Pending::Barrier(reply)) {
-                Some(req_id) => WireMsg::Barrier { req_id },
-                None => {
-                    obs.degrades.inc();
-                    conn_failed(&self.shared, src, dst, &conn);
-                    return false;
-                }
-            },
+            PeerMsg::Barrier { reply } => {
+                correlate(Pending::Barrier(reply)).map(|req_id| WireMsg::Barrier { req_id })
+            }
             // A pong correlates exactly like a barrier ack: unit reply.
-            PeerMsg::Ping { reply } => match correlate(Pending::Barrier(reply)) {
-                Some(req_id) => WireMsg::Ping { req_id },
-                None => {
-                    obs.degrades.inc();
-                    conn_failed(&self.shared, src, dst, &conn);
-                    return false;
-                }
-            },
+            PeerMsg::Ping { reply } => {
+                correlate(Pending::Barrier(reply)).map(|req_id| WireMsg::Ping { req_id })
+            }
             // Control-plane; `send` routes it locally before we get here.
             PeerMsg::Shutdown => unreachable!("Shutdown never crosses the wire"),
         };
-        if pump(&self.shared, src, dst, &conn, &frame) {
-            true
-        } else {
-            // The pending entry (if any) died with the connection's table.
+        let Some(frame) = frame else {
             obs.degrades.inc();
-            false
+            conn_failed(&self.shared, src, dst, &conn);
+            return false;
+        };
+        // On failure the pending entry (if any) died with the table.
+        let sent = pump_frames(&self.shared, src, dst, &conn, &[frame]);
+        if !sent {
+            obs.degrades.inc();
         }
+        sent
     }
 }
 
@@ -819,9 +771,9 @@ impl Transport for TcpLan {
     /// Pipelined fetch: every request in the batch goes into flight before
     /// the first reply is awaited. The requests stage as one frame train
     /// (one vectored write when the link is quiet), the peer's service
-    /// thread drains them back to back, and the reactor batches the replies
-    /// into reply trains — so the per-trip wakeup chain is paid once per
-    /// batch instead of once per block.
+    /// thread drains them back to back, and its replies leave in reply
+    /// trains — so the per-trip wakeup chain is paid once per batch instead
+    /// of once per block.
     fn fetch_blocks(
         &self,
         src: NodeId,
@@ -900,7 +852,7 @@ impl Transport for TcpLan {
                     self.shared.teardowns.fetch_add(1, Ordering::Relaxed);
                     pair.teardowns.inc();
                 }
-                link.backoff = self.shared.cfg.initial_backoff;
+                link.backoff = INITIAL_BACKOFF;
                 link.retry_at = None;
                 pair.backoff_ms.set(0);
             }
@@ -922,12 +874,8 @@ impl Transport for TcpLan {
             if src == node {
                 continue;
             }
-            let conn = {
-                let link = self.shared.link(src, node).lock();
-                match &link.conn {
-                    Some(conn) => conn.clone(),
-                    None => continue, // never connected or torn down
-                }
+            let Some(conn) = self.shared.link(src, node).lock().conn.clone() else {
+                continue; // never connected or torn down
             };
             let req_id = self.shared.next_req.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = unbounded();
@@ -936,7 +884,13 @@ impl Transport for TcpLan {
             }
             let obs = self.shared.obs.pair(src, node);
             obs.pending_replies.adjust(1);
-            if pump(&self.shared, src, node, &conn, &WireMsg::Barrier { req_id }) {
+            if pump_frames(
+                &self.shared,
+                src,
+                node,
+                &conn,
+                &[WireMsg::Barrier { req_id }],
+            ) {
                 acks.push(rx);
             }
             // On failure the link died: its in-flight frames are lost with
@@ -961,17 +915,15 @@ impl Drop for TcpLan {
     fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::Release);
         // Killing every outbound connection unblocks stuck writers and
-        // lets each reactor observe the teardown; reactors poll `stop`
-        // between passes, so they exit within one idle nap.
+        // lets each reactor observe the teardown; the wake socket breaks
+        // each reactor out of `poll` to see `stop` at once.
         for link in &self.shared.links {
             if let Some(conn) = link.lock().conn.take() {
                 conn.kill();
             }
         }
-        // Wake any reactor blocked on its mailbox so it sees `stop` now
-        // instead of at the end of its nap.
-        for i in 0..self.shared.slots.len() {
-            self.shared.nudge(NodeId(i as u16));
+        for mailbox in &self.shared.mailboxes {
+            mailbox.wake();
         }
         for r in self.reactors.lock().drain(..) {
             let _ = r.join();
@@ -985,11 +937,28 @@ const HELLO_DEADLINE: Duration = Duration::from_secs(5);
 const READS_PER_PASS: usize = 8;
 /// Bytes per read call into a connection's assembler.
 const READ_CHUNK: usize = 64 * 1024;
-/// Reactor idle escalation: pure spins, then yields, then sleeps.
-const IDLE_SPINS: u32 = 64;
-const IDLE_YIELDS: u32 = 64;
+/// How long a reactor keeps polling without blocking (yielding between
+/// polls) after its last socket event. A round trip's next frame usually
+/// lands well inside it, and catching it hot skips a sleep/wake pair.
+const HOT_WINDOW: Duration = Duration::from_micros(50);
 
-/// A reply the reactor owes an inbound connection, in request order.
+/// Read what `sock` holds into `asm`, bounded for fairness. False at EOF
+/// or on a socket error.
+fn fill(asm: &mut FrameAssembler, mut sock: &TcpStream) -> bool {
+    for _ in 0..READS_PER_PASS {
+        match asm.read_from(&mut sock, READ_CHUNK) {
+            Ok(0) => return false,
+            Ok(n) if n < READ_CHUNK => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return false,
+        }
+    }
+    true
+}
+
+/// A reply owed to an inbound connection, in request order.
 enum ReplyWait {
     Block {
         req_id: u64,
@@ -1002,24 +971,99 @@ enum ReplyWait {
     },
 }
 
+/// The reply side of an inbound connection, shared by the reactor (which
+/// registers waits as requests arrive and resumes a flush the socket cut
+/// short) and by whichever thread completes a reply (through the reply
+/// channel's notify hook).
+struct Replies {
+    /// The connection's socket (a duplicate of the reactor's handle).
+    sock: TcpStream,
+    shared: Arc<TcpShared>,
+    node: NodeId,
+    src: NodeId,
+    state: Mutex<ReplyState>,
+    /// A reply train is partly flushed: the reactor watches for `POLLOUT`.
+    want_write: AtomicBool,
+}
+
+#[derive(Default)]
+struct ReplyState {
+    /// Replies owed, FIFO: the service thread answers its inbox in order,
+    /// so only the front can become ready next — harvesting the front
+    /// preserves the peer's reply order while requests stream in
+    /// pipelined.
+    waits: VecDeque<ReplyWait>,
+    /// Outgoing reply train (persistent; partial flushes resume).
+    train: FrameTrain,
+}
+
+impl Replies {
+    /// Move every ready reply, in request order, onto the reply train and
+    /// write as much of it as the socket takes.
+    fn flush(&self) {
+        let mut st = self.state.lock();
+        let (mut frames, mut bytes) = (0, 0);
+        while let Some(front) = st.waits.front() {
+            let frame = match front {
+                ReplyWait::Block { req_id, rx } => match rx.try_recv() {
+                    Err(TryRecvError::Empty) => break,
+                    // A node that crashed before answering (disconnect)
+                    // gives the requester an explicit miss, not a timeout.
+                    got => WireMsg::BlockReply {
+                        req_id: *req_id,
+                        data: got.ok().flatten(),
+                    },
+                },
+                ReplyWait::Ack { req_id, pong, rx } => match rx.try_recv() {
+                    Ok(()) if *pong => WireMsg::Pong { req_id: *req_id },
+                    Ok(()) => WireMsg::BarrierAck { req_id: *req_id },
+                    // Node died mid-barrier/ping: no ack. Kill the
+                    // connection and let the requester time out (matches
+                    // the channel backend).
+                    Err(TryRecvError::Disconnected) => {
+                        let _ = self.sock.shutdown(Shutdown::Both);
+                        return;
+                    }
+                    Err(TryRecvError::Empty) => break,
+                },
+            };
+            bytes += st.train.push(&frame) as u64;
+            frames += 1;
+            st.waits.pop_front();
+        }
+        if frames > 0 {
+            self.shared.credit_out(self.node, self.src, frames, bytes);
+        }
+        let done = st.train.is_empty()
+            || st.train.write_some(&mut &self.sock).unwrap_or_else(|_| {
+                // The reactor sees the hangup and drops the connection.
+                let _ = self.sock.shutdown(Shutdown::Both);
+                true
+            });
+        if done {
+            self.want_write.store(false, Ordering::Release);
+        } else if !self.want_write.swap(true, Ordering::AcqRel) {
+            self.shared.mailboxes[self.node.index()].wake();
+        }
+    }
+}
+
+/// What a valid Hello establishes on an inbound connection.
+struct Peer {
+    /// Inbox incarnation pinned at Hello time: frames from a connection
+    /// established before a crash die with the old incarnation.
+    inbox: Sender<PeerMsg>,
+    replies: Arc<Replies>,
+    /// Hook for this connection's reply channels: flush on completion.
+    notify: Notify,
+}
+
 /// One accepted (inbound) connection being served by a reactor.
 struct InConn {
     sock: TcpStream,
     asm: FrameAssembler,
-    /// Peer node, known after a valid Hello.
-    src: Option<NodeId>,
-    /// Inbox incarnation pinned at Hello time.
-    inbox: Option<Sender<PeerMsg>>,
-    /// Replies owed, FIFO: the service thread answers its inbox in order,
-    /// so only the front can become ready next — harvesting the front
-    /// preserves the exact reply order of the old one-thread-per-conn
-    /// demux while letting many requests stream in pipelined.
-    waits: VecDeque<ReplyWait>,
-    /// Outgoing reply train (persistent; partial flushes resume).
-    wtrain: FrameTrain,
-    /// Portions of `wtrain`'s running totals already credited to metrics.
-    counted_frames: u64,
-    counted_bytes: u64,
+    /// Set by a valid Hello.
+    peer: Option<Peer>,
     deadline: Instant,
 }
 
@@ -1028,43 +1072,40 @@ impl InConn {
         InConn {
             sock,
             asm: FrameAssembler::new(),
-            src: None,
-            inbox: None,
-            waits: VecDeque::new(),
-            wtrain: FrameTrain::new(),
-            counted_frames: 0,
-            counted_bytes: 0,
+            peer: None,
             deadline: Instant::now() + HELLO_DEADLINE,
         }
     }
 
-    /// One nonblocking pass: read + demux + harvest replies + flush.
-    /// Returns false when the connection must be dropped.
-    fn poll(&mut self, shared: &TcpShared, node: NodeId, progress: &mut bool) -> bool {
-        // Read whatever the socket has, bounded for fairness, straight
-        // into the assembler (one copy from the kernel).
-        for _ in 0..READS_PER_PASS {
-            match self.asm.read_from(&mut &self.sock, READ_CHUNK) {
-                Ok(0) => return false, // EOF: peer is gone
-                Ok(n) => {
-                    *progress = true;
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
+    /// Handle one poll result: read + demux on any input event, resume a
+    /// partial reply flush on `POLLOUT`. Returns false when the connection
+    /// must be dropped.
+    fn service(&mut self, shared: &Arc<TcpShared>, node: NodeId, revents: i16) -> bool {
+        if revents & POLLOUT != 0 {
+            if let Some(p) = &self.peer {
+                p.replies.flush();
             }
         }
-        // Demux complete frames.
+        if revents & !POLLOUT != 0 && !self.read(shared, node) {
+            return false;
+        }
+        // A silent connection must say Hello in time.
+        self.peer.is_some() || Instant::now() < self.deadline
+    }
+
+    /// Read what the socket has and deliver every complete frame.
+    fn read(&mut self, shared: &Arc<TcpShared>, node: NodeId) -> bool {
+        if !fill(&mut self.asm, &self.sock) {
+            return false;
+        }
+        let mut owed = false;
         loop {
             let (frame, nbytes) = match self.asm.next_frame() {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(_) => return false, // corrupt stream
             };
-            let Some(src) = self.src else {
+            let Some(peer) = &self.peer else {
                 // First frame must be a valid Hello from a real peer.
                 match frame {
                     WireMsg::Hello { version, node: src }
@@ -1076,148 +1117,87 @@ impl InConn {
                         let in_obs = shared.obs.pair(src, node);
                         in_obs.frames_in.inc();
                         in_obs.bytes_in.add(nbytes);
-                        self.src = Some(src);
-                        // Pin the inbox incarnation: frames from a
-                        // connection established before a crash must die
-                        // with the old incarnation.
-                        self.inbox = Some(shared.slots[node.index()].inbox.read().clone());
+                        let Ok(sock) = self.sock.try_clone() else {
+                            return false;
+                        };
+                        let replies = Arc::new(Replies {
+                            sock,
+                            shared: shared.clone(),
+                            node,
+                            src,
+                            state: Mutex::default(),
+                            want_write: AtomicBool::new(false),
+                        });
+                        let weak = Arc::downgrade(&replies);
+                        self.peer = Some(Peer {
+                            inbox: shared.slots[node.index()].inbox.read().clone(),
+                            replies,
+                            notify: Arc::new(move || {
+                                if let Some(r) = weak.upgrade() {
+                                    r.flush();
+                                }
+                            }),
+                        });
                         continue;
                     }
                     _ => return false, // wrong protocol/version/self-dial
                 }
             };
             shared.frames_received.fetch_add(1, Ordering::Relaxed);
-            let in_obs = shared.obs.pair(src, node);
+            let in_obs = shared.obs.pair(peer.replies.src, node);
             in_obs.frames_in.inc();
             in_obs.bytes_in.add(nbytes);
-            let inbox = self.inbox.as_ref().expect("inbox pinned with src");
-            let delivered = match frame {
+            let (msg, wait) = match frame {
                 WireMsg::BlockRequest { req_id, block } => {
-                    let (tx, rx) = unbounded();
-                    let ok = inbox
-                        .send(PeerMsg::BlockRequest { block, reply: tx })
-                        .is_ok();
-                    if ok {
-                        self.waits.push_back(ReplyWait::Block { req_id, rx });
-                    }
-                    ok
+                    let (tx, rx) = notified(peer.notify.clone());
+                    let wait = ReplyWait::Block { req_id, rx };
+                    (PeerMsg::BlockRequest { block, reply: tx }, Some(wait))
                 }
                 WireMsg::Forward {
                     block,
                     data,
                     displace,
-                } => inbox
-                    .send(PeerMsg::Forward {
+                } => (
+                    PeerMsg::Forward {
                         block,
                         data,
                         displace,
-                    })
-                    .is_ok(),
-                WireMsg::Invalidate { block } => inbox.send(PeerMsg::Invalidate { block }).is_ok(),
-                WireMsg::WriteInvalidate { block, version } => inbox
-                    .send(PeerMsg::WriteInvalidate { block, version })
-                    .is_ok(),
-                WireMsg::Barrier { req_id } => {
-                    let (tx, rx) = unbounded();
-                    let ok = inbox.send(PeerMsg::Barrier { reply: tx }).is_ok();
-                    if ok {
-                        self.waits.push_back(ReplyWait::Ack {
-                            req_id,
-                            pong: false,
-                            rx,
-                        });
-                    }
-                    ok
+                    },
+                    None,
+                ),
+                WireMsg::Invalidate { block } => (PeerMsg::Invalidate { block }, None),
+                WireMsg::WriteInvalidate { block, version } => {
+                    (PeerMsg::WriteInvalidate { block, version }, None)
                 }
-                WireMsg::Ping { req_id } => {
-                    let (tx, rx) = unbounded();
-                    let ok = inbox.send(PeerMsg::Ping { reply: tx }).is_ok();
-                    if ok {
-                        self.waits.push_back(ReplyWait::Ack {
-                            req_id,
-                            pong: true,
-                            rx,
-                        });
-                    }
-                    ok
+                WireMsg::Barrier { req_id } | WireMsg::Ping { req_id } => {
+                    let pong = matches!(frame, WireMsg::Ping { .. });
+                    let (tx, rx) = notified(peer.notify.clone());
+                    let msg = if pong {
+                        PeerMsg::Ping { reply: tx }
+                    } else {
+                        PeerMsg::Barrier { reply: tx }
+                    };
+                    (msg, Some(ReplyWait::Ack { req_id, pong, rx }))
                 }
                 // Requests travel src → dst only; a reply or second Hello
                 // on an inbound connection is protocol corruption.
                 WireMsg::Hello { .. }
                 | WireMsg::BlockReply { .. }
                 | WireMsg::BarrierAck { .. }
-                | WireMsg::Pong { .. } => false,
+                | WireMsg::Pong { .. } => return false,
             };
-            if !delivered {
-                return false; // dead incarnation or corruption: kill conn
+            if peer.inbox.send(msg).is_err() {
+                return false; // dead incarnation: kill conn
             }
-            *progress = true;
-        }
-        if self.src.is_none() && Instant::now() >= self.deadline {
-            return false; // silent connection never said Hello
-        }
-        // Harvest ready replies, in request order, into the reply train.
-        while let Some(front) = self.waits.front() {
-            match front {
-                ReplyWait::Block { req_id, rx } => match rx.try_recv() {
-                    Ok(data) => {
-                        self.wtrain.push(&WireMsg::BlockReply {
-                            req_id: *req_id,
-                            data,
-                        });
-                        self.waits.pop_front();
-                        *progress = true;
-                    }
-                    // Node crashed before answering: the requester sees an
-                    // explicit miss immediately, not a timeout.
-                    Err(TryRecvError::Disconnected) => {
-                        self.wtrain.push(&WireMsg::BlockReply {
-                            req_id: *req_id,
-                            data: None,
-                        });
-                        self.waits.pop_front();
-                        *progress = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                },
-                ReplyWait::Ack { req_id, pong, rx } => match rx.try_recv() {
-                    Ok(()) => {
-                        let frame = if *pong {
-                            WireMsg::Pong { req_id: *req_id }
-                        } else {
-                            WireMsg::BarrierAck { req_id: *req_id }
-                        };
-                        self.wtrain.push(&frame);
-                        self.waits.pop_front();
-                        *progress = true;
-                    }
-                    // Node died mid-barrier/ping: no ack, let the
-                    // requester time out (matches the channel backend).
-                    Err(TryRecvError::Disconnected) => return false,
-                    Err(TryRecvError::Empty) => break,
-                },
+            if let Some(wait) = wait {
+                peer.replies.state.lock().waits.push_back(wait);
+                owed = true;
             }
         }
-        // Flush the reply train as far as the socket allows.
-        if !self.wtrain.is_empty() {
-            match self.wtrain.write_some(&mut &self.sock) {
-                Ok(true) => {
-                    let src = self.src.expect("replies only exist post-hello");
-                    let frames = self.wtrain.frames() - self.counted_frames;
-                    let bytes = self.wtrain.bytes() - self.counted_bytes;
-                    self.counted_frames = self.wtrain.frames();
-                    self.counted_bytes = self.wtrain.bytes();
-                    shared.frames_sent.fetch_add(frames, Ordering::Relaxed);
-                    shared.trains_sent.fetch_add(1, Ordering::Relaxed);
-                    let out_obs = shared.obs.pair(node, src);
-                    out_obs.frames_out.add(frames);
-                    out_obs.bytes_out.add(bytes);
-                    shared.nudge(src);
-                    *progress = true;
-                }
-                Ok(false) => {} // socket full; resume next pass
-                Err(_) => return false,
-            }
+        // A reply that completed before its wait was registered found
+        // nothing to flush; pick it up now.
+        if let (true, Some(peer)) = (owed, &self.peer) {
+            peer.replies.flush();
         }
         true
     }
@@ -1238,154 +1218,120 @@ struct OutWatch {
 }
 
 impl OutWatch {
-    /// Returns false when the connection failed (already cleaned up).
-    fn poll(&mut self, shared: &TcpShared, node: NodeId, progress: &mut bool) -> bool {
-        for _ in 0..READS_PER_PASS {
-            match self.asm.read_from(&mut &self.conn.sock, READ_CHUNK) {
-                Ok(0) => {
-                    conn_failed(shared, node, self.dst, &self.conn);
-                    return false;
-                }
-                Ok(n) => {
-                    *progress = true;
-                    if n < READ_CHUNK {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    conn_failed(shared, node, self.dst, &self.conn);
-                    return false;
-                }
-            }
+    /// Read what the socket has and resolve every complete reply. Returns
+    /// false when the connection failed.
+    fn read(&mut self, shared: &TcpShared, node: NodeId) -> bool {
+        if !fill(&mut self.asm, &self.conn.sock) {
+            return false;
         }
         // Replies travel `dst → node`; the pending gauge lives on the
         // link as dialed, `node → dst`.
         let in_obs = shared.obs.pair(self.dst, node);
         let link_obs = shared.obs.pair(node, self.dst);
         loop {
-            match self.asm.next_frame() {
-                Ok(Some((WireMsg::BlockReply { req_id, data }, n))) => {
-                    shared.frames_received.fetch_add(1, Ordering::Relaxed);
-                    in_obs.frames_in.inc();
-                    in_obs.bytes_in.add(n);
-                    if let Some(Pending::Block(tx)) = self.conn.pending.remove(req_id) {
-                        link_obs.pending_replies.adjust(-1);
-                        let _ = tx.send(data); // requester may have timed out
-                    }
-                    *progress = true;
+            let (req_id, n, data) = match self.asm.next_frame() {
+                Ok(Some((WireMsg::BlockReply { req_id, data }, n))) => (req_id, n, Some(data)),
+                Ok(Some((WireMsg::BarrierAck { req_id } | WireMsg::Pong { req_id }, n))) => {
+                    (req_id, n, None)
                 }
-                Ok(Some((WireMsg::BarrierAck { req_id }, n)))
-                | Ok(Some((WireMsg::Pong { req_id }, n))) => {
-                    shared.frames_received.fetch_add(1, Ordering::Relaxed);
-                    in_obs.frames_in.inc();
-                    in_obs.bytes_in.add(n);
-                    if let Some(Pending::Barrier(tx)) = self.conn.pending.remove(req_id) {
-                        link_obs.pending_replies.adjust(-1);
-                        let _ = tx.send(());
-                    }
-                    *progress = true;
-                }
-                Ok(None) => break,
+                Ok(None) => return true,
                 // Only replies travel dst → node; anything else is
                 // protocol corruption.
-                Ok(Some(_)) | Err(_) => {
-                    conn_failed(shared, node, self.dst, &self.conn);
-                    return false;
+                Ok(Some(_)) | Err(_) => return false,
+            };
+            shared.frames_received.fetch_add(1, Ordering::Relaxed);
+            in_obs.frames_in.inc();
+            in_obs.bytes_in.add(n);
+            // The requester may have timed out; a late reply just drops.
+            match (self.conn.pending.remove(req_id), data) {
+                (Some(Pending::Block(tx)), Some(data)) => {
+                    link_obs.pending_replies.adjust(-1);
+                    let _ = tx.send(data);
                 }
+                (Some(Pending::Barrier(tx)), None) => {
+                    link_obs.pending_replies.adjust(-1);
+                    let _ = tx.send(());
+                }
+                _ => {}
             }
         }
-        true
     }
 }
 
 /// The per-node event loop: accepts inbound connections, demuxes their
-/// frames to the service inbox, batches and writes their replies, and
-/// resolves replies arriving on connections this node dialed. Everything
-/// is nonblocking; when there is no work the loop backs off from spinning
-/// through yields to capped sleeps ([`TcpConfig::max_idle_sleep`]).
-fn reactor_loop(
-    shared: Arc<TcpShared>,
-    node: NodeId,
-    listener: TcpListener,
-    cmds: Receiver<ReactorCmd>,
-) {
+/// frames to the service inbox, resumes reply trains the socket cut short,
+/// and resolves replies arriving on connections this node dialed. Its one
+/// blocking point is `poll` over every socket plus the wake socket.
+fn reactor_loop(shared: Arc<TcpShared>, node: NodeId, listener: TcpListener, wake_rx: UnixStream) {
+    let mailbox = &shared.mailboxes[node.index()];
     let mut inbound: Vec<InConn> = Vec::new();
     let mut outbound: Vec<OutWatch> = Vec::new();
-    let mut idle: u32 = 0;
-    // Spinning only ever pays when the thread being waited for can run on
-    // another core; on a single-CPU host it just delays that thread's
-    // timeslice, so go straight to yielding.
-    let spins = match std::thread::available_parallelism() {
-        Ok(n) if n.get() > 1 => IDLE_SPINS,
-        _ => 0,
-    };
+    let mut fds: Vec<PollFd> = Vec::new();
+    let mut hot_until = Instant::now();
     while !shared.stop.load(Ordering::Acquire) {
-        let mut progress = false;
-        // Adopt newly dialed connections and absorb nudges (the nudged-for
-        // frames surface in the read pass below).
-        loop {
-            match cmds.try_recv() {
-                Ok(ReactorCmd::Watch { dst, conn }) => {
-                    outbound.push(OutWatch {
-                        dst,
-                        conn,
-                        asm: FrameAssembler::new(),
-                    });
-                    progress = true;
-                }
-                Ok(ReactorCmd::Nudge) => progress = true,
-                Err(_) => break,
-            }
+        mailbox.kicked.store(false, Ordering::SeqCst);
+        outbound.extend(mailbox.watch.lock().drain(..).map(|(dst, conn)| OutWatch {
+            dst,
+            conn,
+            asm: FrameAssembler::new(),
+        }));
+        // Poll set: wake socket, listener, inbound, outbound — in order.
+        fds.clear();
+        fds.push(PollFd::new(&wake_rx, POLLIN));
+        fds.push(PollFd::new(&listener, POLLIN));
+        for c in &inbound {
+            let out = match &c.peer {
+                Some(p) if p.replies.want_write.load(Ordering::Acquire) => POLLOUT,
+                _ => 0,
+            };
+            fds.push(PollFd::new(&c.sock, POLLIN | out));
         }
-        // Accept inbound connections (WouldBlock/transient: try next pass).
-        while let Ok((sock, _)) = listener.accept() {
-            let _ = sock.set_nodelay(true);
-            let _ = sock.set_nonblocking(true);
-            inbound.push(InConn::new(sock));
-            progress = true;
+        for w in &outbound {
+            fds.push(PollFd::new(&w.conn.sock, POLLIN));
         }
-        inbound.retain_mut(|c| c.poll(&shared, node, &mut progress));
-        outbound.retain_mut(|w| w.poll(&shared, node, &mut progress));
-        if progress {
-            idle = 0;
-            continue;
-        }
-        // Idle escalation: spin (sub-µs wakeup under load), then yield.
-        idle = idle.saturating_add(1);
-        if idle <= spins {
-            std::hint::spin_loop();
-        } else if idle <= spins + IDLE_YIELDS {
-            std::thread::yield_now();
-        } else if inbound
-            .iter()
-            .any(|c| !c.waits.is_empty() || !c.wtrain.is_empty())
-        {
-            // A service thread owes a reply (it answers in microseconds)
-            // or a reply train is blocked on a full socket: stay hot —
-            // neither completion arrives through the mailbox.
-            std::thread::park_timeout(Duration::from_micros(10));
+        let now = Instant::now();
+        let hot = now < hot_until;
+        let timeout = if hot {
+            Some(Duration::ZERO)
         } else {
-            // Nothing in flight: block on the mailbox with a capped nap.
-            // Writers nudge it the moment frames hit the wire, so this
-            // wakes on demand; the nap only bounds staleness for frames
-            // from writers that cannot nudge (a future remote process).
-            let step = (idle - spins - IDLE_YIELDS) as u64;
-            let cap = shared.cfg.max_idle_sleep.max(Duration::from_micros(1));
-            let nap = Duration::from_micros(step.saturating_mul(10)).min(cap);
-            match cmds.recv_timeout(nap) {
-                Ok(ReactorCmd::Watch { dst, conn }) => {
-                    outbound.push(OutWatch {
-                        dst,
-                        conn,
-                        asm: FrameAssembler::new(),
-                    });
-                    idle = 0;
-                }
-                Ok(ReactorCmd::Nudge) => idle = 0,
-                Err(_) => {}
+            // Announce the block, then re-check for a wake that raced it.
+            mailbox.parked.store(true, Ordering::SeqCst);
+            if mailbox.kicked.load(Ordering::SeqCst) {
+                mailbox.parked.store(false, Ordering::SeqCst);
+                continue;
             }
+            inbound
+                .iter()
+                .filter(|c| c.peer.is_none())
+                .map(|c| c.deadline.saturating_duration_since(now))
+                .min()
+        };
+        let ready = poll_fds(&mut fds, timeout);
+        mailbox.parked.store(false, Ordering::SeqCst);
+        if fds[0].revents != 0 {
+            while matches!((&wake_rx).read(&mut [0; 64]), Ok(n) if n > 0) {}
+        }
+        let mut polled = fds[2..].iter().map(|f| f.revents);
+        inbound.retain_mut(|c| c.service(&shared, node, polled.next().unwrap_or(0)));
+        outbound.retain_mut(|w| {
+            let ok = polled.next().unwrap_or(0) == 0 || w.read(&shared, node);
+            if !ok {
+                conn_failed(&shared, node, w.dst, &w.conn);
+            }
+            ok
+        });
+        if fds[1].revents != 0 {
+            // Accept everything queued (WouldBlock/transient: next event).
+            while let Ok((sock, _)) = listener.accept() {
+                let _ = sock.set_nodelay(true);
+                let _ = sock.set_nonblocking(true);
+                inbound.push(InConn::new(sock));
+            }
+        }
+        if ready > usize::from(fds[0].revents != 0) {
+            hot_until = Instant::now() + HOT_WINDOW;
+        } else if hot {
+            std::thread::yield_now();
         }
     }
     // Shutdown: InConn/Conn drops close every socket.

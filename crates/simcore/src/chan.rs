@@ -10,7 +10,10 @@
 //!   is empty and every sender is gone (disconnection is observable from
 //!   both ends, which is how the runtime detects crashed peers);
 //! * [`Receiver::recv_timeout`] gives the bounded wait that the cooperative
-//!   cache's "eventual disk read" escape hatch needs under fault injection.
+//!   cache's "eventual disk read" escape hatch needs under fault injection;
+//! * [`notified`] channels run a hook on the sending thread after every
+//!   send and when the last sender drops unanswered, so a consumer that
+//!   cannot block on the channel (a socket reactor) still hears about it.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -64,9 +67,13 @@ struct State<T> {
     receivers: usize,
 }
 
+/// A hook a [`notified`] channel runs on the sending thread.
+pub type Notify = Arc<dyn Fn() + Send + Sync>;
+
 struct Shared<T> {
     state: Mutex<State<T>>,
     ready: Condvar,
+    notify: Option<Notify>,
 }
 
 impl<T> Shared<T> {
@@ -93,6 +100,18 @@ pub struct Receiver<T> {
 
 /// Create an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
+    channel(None)
+}
+
+/// Create an unbounded channel that runs `notify` (outside the channel
+/// lock, on the sending thread) after every successful send, and when the
+/// last sender drops with nothing queued — the two moments a receiver's
+/// `try_recv` changes its answer.
+pub fn notified<T>(notify: Notify) -> (Sender<T>, Receiver<T>) {
+    channel(Some(notify))
+}
+
+fn channel<T>(notify: Option<Notify>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
             queue: VecDeque::new(),
@@ -100,6 +119,7 @@ pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
             receivers: 1,
         }),
         ready: Condvar::new(),
+        notify,
     });
     (
         Sender {
@@ -122,6 +142,9 @@ impl<T> Sender<T> {
         st.queue.push_back(msg);
         drop(st);
         self.shared.ready.notify_one();
+        if let Some(notify) = &self.shared.notify {
+            notify();
+        }
         Ok(())
     }
 }
@@ -140,9 +163,13 @@ impl<T> Drop for Sender<T> {
         let mut st = self.shared.lock();
         st.senders -= 1;
         if st.senders == 0 {
+            let disconnected = st.queue.is_empty();
             drop(st);
             // Wake every blocked receiver so they observe the disconnect.
             self.shared.ready.notify_all();
+            if let (true, Some(notify)) = (disconnected, &self.shared.notify) {
+                notify();
+            }
         }
     }
 }
@@ -215,11 +242,6 @@ impl<T> Receiver<T> {
     /// True if no message is currently queued.
     pub fn is_empty(&self) -> bool {
         self.shared.lock().queue.is_empty()
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.shared.lock().queue.len()
     }
 
     /// A blocking iterator yielding messages until the channel disconnects.
@@ -358,6 +380,32 @@ mod tests {
         let a = std::thread::spawn(move || rx1.iter().count());
         let b = std::thread::spawn(move || rx2.iter().count());
         assert_eq!(a.join().unwrap() + b.join().unwrap(), 100);
+    }
+
+    #[test]
+    fn notify_fires_on_send_and_on_unanswered_disconnect() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let fired = Arc::new(AtomicUsize::new(0));
+        let count = fired.clone();
+        let hook: Notify = Arc::new(move || {
+            count.fetch_add(1, Ordering::SeqCst);
+        });
+        let fired = move || fired.load(Ordering::SeqCst);
+        // Answered: the send fires; the drop leaves a message, not a
+        // disconnect, so it does not.
+        let (tx, rx) = notified(hook.clone());
+        tx.send(1u8).unwrap();
+        drop(tx);
+        assert_eq!((fired(), rx.try_recv()), (1, Ok(1)));
+        // Unanswered: only the last sender's drop fires.
+        let (tx, rx) = notified::<u8>(hook);
+        drop(tx.clone());
+        assert_eq!(fired(), 1);
+        drop(tx);
+        assert_eq!(
+            (fired(), rx.try_recv()),
+            (2, Err(TryRecvError::Disconnected))
+        );
     }
 
     #[test]
