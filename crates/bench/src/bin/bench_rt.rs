@@ -169,7 +169,7 @@ fn run_backend(backend: Backend, rounds: usize) -> Vec<Phase> {
         time_reads(&mw, holder, &set_b, &mut Vec::new()); // peer masters B
         let mut samples = Vec::new();
         time_reads(&mw, reader, &set_b, &mut samples);
-        assert_eq!(mw.store_fallbacks(), CAPACITY as u64);
+        assert_eq!(mw.stats().store_fallbacks, CAPACITY as u64);
         phases.push(Phase {
             scenario: "remote_miss_fallback",
             samples,

@@ -71,6 +71,16 @@ pub trait FrontBackend: Send + Sync {
 
     /// Drain any in-flight background work so counters are stable.
     fn quiesce(&self) {}
+
+    /// Refresh gauges that are only computed at scrape time; called before
+    /// every `GET /metrics`.
+    fn refresh_gauges(&self) {}
+
+    /// The backend's block-path trace as JSON, served at
+    /// `GET /debug/trace`; `None` (a 404) when the backend keeps none.
+    fn debug_trace(&self) -> Option<String> {
+        None
+    }
 }
 
 /// The cooperative caching middleware as a front-tier backend.
@@ -147,6 +157,14 @@ impl FrontBackend for CcmBackend {
 
     fn quiesce(&self) {
         self.middleware.quiesce();
+    }
+
+    fn refresh_gauges(&self) {
+        self.middleware.refresh_gauges();
+    }
+
+    fn debug_trace(&self) -> Option<String> {
+        Some(self.middleware.trace().dump_json())
     }
 }
 

@@ -1,8 +1,7 @@
-//! A blocking HTTP client that keeps response headers — the front tier's
-//! tests and load driver need `Content-Range`/`ETag`, which the simpler
-//! `ccm-httpd` client discards.
+//! A blocking HTTP client that keeps response headers (`Content-Range`,
+//! `ETag`, …) — the one client the tests, load drivers, and demos use.
 
-use ccm_httpd::http::Headers;
+use crate::http::Headers;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 

@@ -1,8 +1,11 @@
 //! The dispatch seam: how the front door picks a serving node.
 //!
 //! Every policy implements [`Dispatch`]: a pure pick plus optional
-//! `begin`/`end` brackets for load signals. Four policies ship:
+//! `begin`/`end` brackets for load signals. Five policies ship:
 //!
+//! * [`Local`] — no dispatch at all: every request is served by the node
+//!   it arrived at, the paper's §7 arrangement of one off-the-shelf web
+//!   server per node behind round-robin DNS.
 //! * [`RoundRobin`] — the paper's baseline arrival model, a stand-in for
 //!   round-robin DNS.
 //! * [`ConsistentHash`] — URL-hashed partitioning on a ring with virtual
@@ -51,6 +54,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Serve every request at its arrival endpoint: per-node web servers over
+/// the cooperative cache, with no front-door hand-off.
+pub struct Local;
+
+impl Dispatch for Local {
+    fn name(&self) -> &'static str {
+        "local"
+    }
+
+    fn pick(&self, arrival: NodeId, _path: &str, _file: Option<FileId>) -> NodeId {
+        arrival
+    }
 }
 
 /// Rotate through nodes in arrival order — what round-robin DNS does.
@@ -258,6 +275,9 @@ impl Dispatch for LoadAware {
 /// The named policies, for CLI flags and bench matrices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
+    /// [`Local`] — not in [`PolicyKind::all`], which is the bench matrix
+    /// of front-door dispatch policies.
+    Local,
     /// [`RoundRobin`].
     RoundRobin,
     /// [`ConsistentHash`].
@@ -282,6 +302,7 @@ impl PolicyKind {
     /// The policy's label.
     pub fn name(self) -> &'static str {
         match self {
+            PolicyKind::Local => "local",
             PolicyKind::RoundRobin => "round-robin",
             PolicyKind::ConsistentHash => "consistent-hash",
             PolicyKind::ContentAware => "content-aware",
@@ -289,16 +310,19 @@ impl PolicyKind {
         }
     }
 
-    /// Parse a CLI spelling (`round-robin`, `consistent-hash`,
+    /// Parse a CLI spelling (`local`, `round-robin`, `consistent-hash`,
     /// `content-aware`, `load-aware`).
     pub fn parse(s: &str) -> Option<PolicyKind> {
-        PolicyKind::all().into_iter().find(|p| p.name() == s)
+        std::iter::once(PolicyKind::Local)
+            .chain(PolicyKind::all())
+            .find(|p| p.name() == s)
     }
 
     /// Build the policy for a cluster of `nodes` nodes. `registry` feeds
     /// the load-aware policy its inflight gauges; the others ignore it.
     pub fn build(self, registry: &Registry, nodes: usize) -> std::sync::Arc<dyn Dispatch> {
         match self {
+            PolicyKind::Local => std::sync::Arc::new(Local),
             PolicyKind::RoundRobin => std::sync::Arc::new(RoundRobin::new(nodes)),
             PolicyKind::ConsistentHash => std::sync::Arc::new(ConsistentHash::new(nodes)),
             PolicyKind::ContentAware => std::sync::Arc::new(ContentAware::new(nodes)),
@@ -310,6 +334,16 @@ impl PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn local_serves_at_the_arrival_endpoint() {
+        for arrival in 0..4u16 {
+            assert_eq!(
+                Local.pick(NodeId(arrival), "/file/1", Some(FileId(1))),
+                NodeId(arrival)
+            );
+        }
+    }
 
     #[test]
     fn round_robin_rotates() {
@@ -392,6 +426,8 @@ mod tests {
         for p in PolicyKind::all() {
             assert_eq!(PolicyKind::parse(p.name()), Some(p));
         }
+        assert_eq!(PolicyKind::parse("local"), Some(PolicyKind::Local));
+        assert!(!PolicyKind::all().contains(&PolicyKind::Local));
         assert_eq!(PolicyKind::parse("nope"), None);
     }
 }

@@ -7,7 +7,8 @@
 //! deliberate seams:
 //!
 //! * **the dispatch seam** ([`dispatch::Dispatch`]) — who serves a
-//!   request: round-robin DNS, consistent-hash by URL, the L2S
+//!   request: the arrival node itself (per-node web servers, the paper's
+//!   §7 arrangement), round-robin DNS, consistent-hash by URL, the L2S
 //!   content-aware policy (running the *same* [`ccm_l2s::L2sRouter`] core
 //!   as the simulator), or LARD-style load-aware;
 //! * **the backend seam** ([`backend::FrontBackend`]) — what serves it:
@@ -20,23 +21,28 @@
 //! architecture underneath. HTTP semantics live in [`range`]
 //! (`Range`/`If-Range` mapped onto block reads — a range request against
 //! the CCM backend touches only the blocks covering the range, while L2S
-//! must fault the whole file) and in `ccm-httpd`'s shared parsing module.
+//! must fault the whole file) and in the [`http`] parsing module; the
+//! [`client`] module is the matching blocking client, headers included.
 //!
 //! Everything the tier does is visible as the `ccm_front_*` metric family
 //! on `GET /metrics`: per-policy dispatch counters, handoff counters,
 //! request-latency histograms, and the per-node inflight gauges that
-//! double as the load-aware policy's input signal.
+//! double as the load-aware policy's input signal. `GET /debug/trace`
+//! serves the CCM backend's block-path trace ring.
 
 #![warn(missing_docs)]
 
 pub mod backend;
 pub mod client;
 pub mod dispatch;
+pub mod http;
 pub mod range;
 pub mod server;
 
 pub use backend::{CcmBackend, FrontBackend, HitStats, L2sBackend};
 pub use client::FrontClient;
-pub use dispatch::{ConsistentHash, ContentAware, Dispatch, LoadAware, PolicyKind, RoundRobin};
+pub use dispatch::{
+    ConsistentHash, ContentAware, Dispatch, LoadAware, Local, PolicyKind, RoundRobin,
+};
 pub use range::{etag, evaluate, RangeOutcome};
 pub use server::{FrontConfig, FrontTier};

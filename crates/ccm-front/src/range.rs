@@ -19,8 +19,8 @@
 //!   ignored and the full body served — always a legal answer, since
 //!   `Range` is an optimization, not an obligation.
 
+use crate::http::Headers;
 use ccm_core::FileId;
-use ccm_httpd::http::Headers;
 
 /// How a request's range headers resolve against a file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

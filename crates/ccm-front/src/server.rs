@@ -2,8 +2,8 @@
 //!
 //! ```text
 //!             ┌────────── endpoint ──────────┐
-//!  client ──▶ │ accept · keep-alive · parse  │   (ccm-httpd's shared
-//!             └──────────────┬───────────────┘    HTTP module)
+//!  client ──▶ │ accept · keep-alive · parse  │   (the `http` module)
+//!             └──────────────┬───────────────┘
 //!             ┌────────── middleware ────────┐
 //!             │ obs: latency · inflight ·    │   (`ccm_front_*` family)
 //!             │ dispatch/handoff counters    │
@@ -20,22 +20,32 @@
 //! One listener per cluster node plays the round-robin-DNS arrival points;
 //! a request may then be *dispatched* to a different node by the policy —
 //! the `moved` distinction the paper's L2S baseline charges hand-off costs
-//! for. Connections are thread-per-connection with keep-alive, and because
-//! each connection is drained strictly in order, pipelined requests get
-//! their responses in request order with no extra machinery.
+//! for; the [`Local`](crate::dispatch::Local) policy never moves one, which
+//! is the paper's per-node web server arrangement. Connections are
+//! thread-per-connection with keep-alive, and because each connection is
+//! drained strictly in order, pipelined requests get their responses in
+//! request order with no extra machinery. Shutdown half-closes every open
+//! connection, so a worker parked on an idle keep-alive socket wakes at
+//! once instead of at its read timeout.
+//!
+//! Besides `/file/<id>`, every endpoint serves `GET /metrics` (the
+//! registry in Prometheus text), `GET /front/stats` (dispatch counters as
+//! JSON), and `GET /debug/trace` (the backend's block-path trace ring as
+//! JSON, or 404 for a backend without one).
 
 use crate::backend::FrontBackend;
 use crate::dispatch::{inflight_gauges, Dispatch};
-use crate::range::{self, RangeOutcome};
-use ccm_core::{FileId, NodeId};
-use ccm_httpd::http::{
+use crate::http::{
     read_request, route_file, write_response, write_response_with, ParseError, Request,
 };
+use crate::range::{self, RangeOutcome};
+use ccm_core::{FileId, NodeId};
 use ccm_obs::{Counter, Gauge, Histogram, Registry, Stopwatch};
+use std::collections::HashMap;
 use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Response status classes tallied per policy.
@@ -254,8 +264,9 @@ impl FrontTier {
         )
     }
 
-    /// Stop accepting and drain connection workers. The backend is left
-    /// running — its lifecycle belongs to whoever started it.
+    /// Stop accepting, half-close every open connection, and drain the
+    /// connection workers. The backend is left running — its lifecycle
+    /// belongs to whoever started it.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for &addr in &self.addrs {
@@ -273,20 +284,39 @@ fn accept_loop(
     inner: Arc<FrontInner>,
     stop: Arc<AtomicBool>,
 ) {
+    // Every open connection, keyed by accept order; each worker removes
+    // its own entry on exit, so the map holds only live connections.
+    let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        let Ok(handle) = stream.try_clone() else {
+            continue;
+        };
+        open.lock()
+            .expect("connection map poisoned")
+            .insert(id, handle);
         let inner = inner.clone();
+        let open = open.clone();
         workers.push(
             std::thread::Builder::new()
                 .name("front-conn".into())
-                .spawn(move || serve_connection(stream, endpoint, &inner))
+                .spawn(move || {
+                    serve_connection(stream, endpoint, &inner);
+                    open.lock().expect("connection map poisoned").remove(&id);
+                })
                 .expect("spawn worker"),
         );
         workers.retain(|w| !w.is_finished());
+    }
+    // A worker parked in a read on an idle keep-alive socket would sleep
+    // until its read timeout; a half-close makes that read return EOF now.
+    // A request already being served still gets its response written.
+    for conn in open.lock().expect("connection map poisoned").values() {
+        let _ = conn.shutdown(Shutdown::Read);
     }
     for w in workers {
         let _ = w.join();
@@ -373,6 +403,7 @@ fn handle_request(endpoint: NodeId, req: &Request, inner: &FrontInner) -> Prepar
     }
     match req.path.as_str() {
         "/metrics" => {
+            inner.backend.refresh_gauges();
             let body = ccm_obs::prom::render(&inner.registry.snapshot());
             let mut p = Prepared::new(200, "OK", body.into_bytes());
             p.content_type = "text/plain; version=0.0.4; charset=utf-8";
@@ -397,6 +428,14 @@ fn handle_request(endpoint: NodeId, req: &Request, inner: &FrontInner) -> Prepar
             p.content_type = "application/json";
             p
         }
+        "/debug/trace" => match inner.backend.debug_trace() {
+            Some(body) => {
+                let mut p = Prepared::new(200, "OK", body.into_bytes());
+                p.content_type = "application/json";
+                p
+            }
+            None => Prepared::new(404, "Not Found", b"no trace ring".to_vec()),
+        },
         path => {
             let file = route_file(path)
                 .filter(|&id| (id as usize) < inner.backend.catalog().num_files())

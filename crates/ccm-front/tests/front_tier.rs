@@ -172,7 +172,37 @@ fn head_matches_get_and_unknown_paths_404() {
     assert_eq!(r.status, 404);
     let r = conn.get("/nope").unwrap();
     assert_eq!(r.status, 404);
+    // The L2S baseline keeps no block-path trace ring.
+    let r = conn.get("/debug/trace").unwrap();
+    assert_eq!(r.status, 404);
     fx.shutdown();
+}
+
+#[test]
+fn shutdown_is_prompt_with_idle_keep_alive_connections_open() {
+    use std::time::{Duration, Instant};
+
+    for kind in [
+        FrontBackendKind::Ccm(ccm_testkit::Backend::Channel),
+        FrontBackendKind::L2s,
+    ] {
+        let (fx, _catalog, _store) = start(kind, PolicyKind::RoundRobin);
+        // One idle keep-alive connection that has been served, and one
+        // that never sent a byte: both park their workers in a read.
+        let mut served = FrontClient::connect(fx.front.addrs()[0]).unwrap();
+        assert_eq!(served.get("/file/2").unwrap().status, 200);
+        let _silent = std::net::TcpStream::connect(fx.front.addrs()[1]).unwrap();
+        let started = Instant::now();
+        fx.shutdown();
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "{}: shutdown took {took:?} with idle connections open",
+            kind.name()
+        );
+        // The served connection was closed, not left dangling.
+        assert!(served.get("/file/2").is_err(), "{}", kind.name());
+    }
 }
 
 #[test]
@@ -232,8 +262,13 @@ fn metrics_page_carries_the_front_family() {
     );
     let addr = fx.front.addrs()[0];
     let mut conn = FrontClient::connect(addr).unwrap();
-    for id in [0u32, 1, 2] {
-        assert_eq!(conn.get(&format!("/file/{id}")).unwrap().status, 200);
+    // Two passes over the files: an idle load-aware tier alternates its
+    // picks between the two nodes, so each node reads some file the other
+    // one read (and mastered) first — remote hits on both sides.
+    for _ in 0..2 {
+        for id in [0u32, 1, 2] {
+            assert_eq!(conn.get(&format!("/file/{id}")).unwrap().status, 200);
+        }
     }
     assert_eq!(
         conn.get_with("/file/0", &[("Range", "bytes=0-9")])
@@ -255,10 +290,55 @@ fn metrics_page_carries_the_front_family() {
         "ccm_front_inflight",
         // The cluster behind the seam reports into the same registry.
         "ccm_rt_reads_total",
+        "ccm_rt_fetch_latency_ns_bucket",
+        "ccm_rt_store_blocks",
+        "ccm_rt_directory_blocks",
+        // The per-node disk services.
+        "ccm_disk_requests_total",
         "ccm_disk_reads_total",
+        "ccm_disk_read_latency_ns_bucket",
+        "ccm_disk_queue_depth",
+        // Hint-directory and membership families are always registered —
+        // zero under the perfect directory, but present on every scrape.
+        "ccm_rt_hint_hits_total",
+        "ccm_rt_hint_stale_total",
+        "ccm_rt_hint_forward_hops_total",
+        "ccm_rt_epoch",
     ] {
         assert!(names.contains(family), "scrape missing {family}:\n{text}");
     }
+
+    // The first reads were physical demand reads through node 0's disk
+    // service, labeled with the node that owns the queue.
+    let disk_demand: f64 = samples
+        .iter()
+        .filter(|s| {
+            s.name == "ccm_disk_reads_total"
+                && s.label("kind") == Some("demand")
+                && s.label("node") == Some("0")
+        })
+        .map(|s| s.value)
+        .sum();
+    assert!(disk_demand > 0.0, "node 0's disk service served no misses");
+
+    // One registry behind every endpoint: node 1's series are on this
+    // node-0 page, including its remote hits.
+    let remote = samples
+        .iter()
+        .find(|s| {
+            s.name == "ccm_rt_reads_total"
+                && s.label("class") == Some("remote")
+                && s.label("node") == Some("1")
+        })
+        .expect("remote-hit series for node 1");
+    assert!(remote.value > 0.0, "node 1 reads must include remote hits");
+
+    // Gauges computed at scrape time are fresh: the directory is not empty.
+    let directory = samples
+        .iter()
+        .find(|s| s.name == "ccm_rt_directory_blocks")
+        .expect("directory gauge");
+    assert!(directory.value > 0.0, "directory gauge not refreshed");
 
     // Dispatch counters carry the policy label and cover the traffic.
     let dispatched: f64 = samples
@@ -266,7 +346,16 @@ fn metrics_page_carries_the_front_family() {
         .filter(|s| s.name == "ccm_front_dispatch_total" && s.label("policy") == Some("load-aware"))
         .map(|s| s.value)
         .sum();
-    assert!(dispatched >= 4.0, "saw {dispatched} dispatches");
+    assert!(dispatched >= 7.0, "saw {dispatched} dispatches");
+
+    // Every file request made above (the scrape itself is counted after
+    // it renders, so it is not on its own page) is a tallied response.
+    let ok_responses: f64 = samples
+        .iter()
+        .filter(|s| s.name == "ccm_front_responses_total" && s.label("status") == Some("2xx"))
+        .map(|s| s.value)
+        .sum();
+    assert!(ok_responses >= 6.0, "saw {ok_responses} 2xx responses");
 
     // The 206 above has its own status class.
     let partial: f64 = samples

@@ -24,15 +24,7 @@ use ccm_rt::{Catalog, Middleware, RtConfig, SyntheticStore, Transport};
 use ccm_traces::{FileId as TraceFileId, Preset};
 use simcore::Rng;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(FNV_PRIME);
-    }
-}
+use crate::common::{fnv1a, start_middleware, FNV_OFFSET};
 
 /// Which cache architecture serves behind the front door.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -515,10 +507,12 @@ fn run_front_inner(
                 obs: Some(registry.clone()),
                 ..RtConfig::default()
             };
-            let mw = Arc::new(match transport {
-                None => Middleware::start(cfg, catalog.clone(), store.clone()),
-                Some(t) => Middleware::start_on(cfg, catalog.clone(), store.clone(), t),
-            });
+            let mw = Arc::new(start_middleware(
+                cfg,
+                catalog.clone(),
+                store.clone(),
+                transport,
+            ));
             (
                 Arc::new(CcmBackend::new(mw.clone())),
                 Some(mw),

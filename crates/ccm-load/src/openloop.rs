@@ -41,21 +41,21 @@ use ccm_arrivals::{
 };
 use ccm_core::block::blocks_of_file;
 use ccm_core::{CacheStats, FileId as CoreFileId, NodeId, ReplacementPolicy};
-use ccm_httpd::HttpCluster;
 use ccm_obs::{Counter, Gauge, Histogram, LatencySummary, Registry, Snapshot};
 use ccm_rt::store::read_file_direct;
 use ccm_rt::{BlockStore, Catalog, Middleware, RtConfig, SyntheticStore, Transport};
 use ccm_traces::{FileId as TraceFileId, Preset, Workload};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+use crate::common::{fnv1a, scrape_ok, Cluster, FNV_OFFSET};
 
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(FNV_PRIME);
-    }
-}
+/// The families a mid-run scrape must find: the open-loop driver's next
+/// to the runtime's.
+const SCRAPE_FAMILIES: [&str; 4] = [
+    "ccm_load_shed_total",
+    "ccm_load_offered_rps",
+    "ccm_load_requests_total",
+    "ccm_rt_reads_total",
+];
 
 /// One request's digest: FNV over its window sequence number then its
 /// payload. XORing these per-request values gives an order-insensitive
@@ -326,51 +326,6 @@ struct WindowOut {
     peak_inflight: i64,
 }
 
-/// The cluster front end (same shape as the closed-loop driver's).
-enum Front {
-    Bare(Middleware),
-    Http(HttpCluster),
-}
-
-impl Front {
-    fn mw(&self) -> &Middleware {
-        match self {
-            Front::Bare(mw) => mw,
-            Front::Http(c) => c.middleware(),
-        }
-    }
-
-    fn scrape_addr(&self) -> Option<SocketAddr> {
-        match self {
-            Front::Bare(_) => None,
-            Front::Http(c) => Some(c.addrs()[0]),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Front::Bare(mw) => mw.shutdown(),
-            Front::Http(c) => c.shutdown(),
-        }
-    }
-}
-
-/// `GET /metrics` from one node and check the open-loop families are on
-/// the page next to the runtime's.
-fn scrape_ok(addr: SocketAddr) -> bool {
-    match ccm_httpd::client::get(addr, "/metrics") {
-        Ok(r) => {
-            let body = String::from_utf8_lossy(&r.body);
-            r.status == 200
-                && body.contains("ccm_load_shed_total")
-                && body.contains("ccm_load_offered_rps")
-                && body.contains("ccm_load_requests_total")
-                && body.contains("ccm_rt_reads_total")
-        }
-        Err(_) => false,
-    }
-}
-
 /// Serve one admitted request against the cluster, verify the bytes, and
 /// fold the driver counts.
 fn serve_one(
@@ -538,7 +493,7 @@ fn drive_real_time(
         }
         drop(tx);
         // Scrape while the tail of the window drains through the pool.
-        let scraped = scrape.map(scrape_ok);
+        let scraped = scrape.map(|a| scrape_ok(a, &SCRAPE_FAMILIES));
         let mut out = joins.into_iter().fold(WindowOut::default(), |mut acc, j| {
             let w = j.join().expect("open-loop worker panicked");
             acc.served += w.served;
@@ -598,20 +553,14 @@ fn run_open_loop_inner(
         obs: Some(registry.clone()),
         ..RtConfig::default()
     };
-    let front = match (transport, spec.serve_metrics) {
-        (None, false) => Front::Bare(Middleware::start(cfg, catalog.clone(), store.clone())),
-        (None, true) => Front::Http(HttpCluster::start(cfg, catalog.clone(), store.clone())),
-        (Some(t), false) => {
-            Front::Bare(Middleware::start_on(cfg, catalog.clone(), store.clone(), t))
-        }
-        (Some(t), true) => Front::Http(HttpCluster::start_on(
-            cfg,
-            catalog.clone(),
-            store.clone(),
-            t,
-        )),
-    };
-    let mw = front.mw();
+    let cluster = Cluster::start(
+        cfg,
+        catalog.clone(),
+        store.clone(),
+        transport,
+        spec.serve_metrics,
+    );
+    let mw = cluster.mw();
     let obs = LoadObs::new(&registry);
 
     // Warm-up: the schedule's head, served in-order and untimed (the
@@ -643,7 +592,9 @@ fn run_open_loop_inner(
     let started = Instant::now();
     let (out, scraped) = if spec.virtual_time {
         let out = drive_virtual(spec, mw, &store, &catalog, window, &*process, &obs);
-        let scraped = front.scrape_addr().map(scrape_ok);
+        let scraped = cluster
+            .scrape_addr()
+            .map(|a| scrape_ok(a, &SCRAPE_FAMILIES));
         (out, scraped)
     } else {
         drive_real_time(
@@ -654,7 +605,7 @@ fn run_open_loop_inner(
             window,
             &*process,
             &obs,
-            front.scrape_addr(),
+            cluster.scrape_addr(),
         )
     };
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
@@ -731,7 +682,7 @@ fn run_open_loop_inner(
         goodput_mb_s: out.bytes as f64 / (1024.0 * 1024.0) / elapsed,
         latency,
     };
-    front.shutdown();
+    cluster.shutdown();
     report
 }
 

@@ -10,55 +10,18 @@ use std::collections::HashMap;
 
 use ccm_core::block::{blocks_of_file, BLOCK_SIZE};
 use ccm_core::{AdmissionConfig, BlockId, FileId as CoreFileId, NodeId};
-use ccm_httpd::HttpCluster;
 use ccm_obs::{Counter, Histogram, LatencySummary, Registry, Snapshot, Stopwatch};
 use ccm_rt::store::{read_file_direct, MemStore};
 use ccm_rt::{BlockStore, Catalog, Middleware, RtConfig, SyntheticStore, Transport, WriteMode};
 use ccm_traces::{FileId as TraceFileId, WriteMix};
 
+use crate::common::{fnv1a, scrape_ok, Cluster, FNV_OFFSET};
 use crate::report::LoadReport;
 use crate::spec::LoadSpec;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv1a(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest ^= b as u64;
-        *digest = digest.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// The cluster front end a run drives: the bare middleware, or the
-/// middleware behind per-node HTTP listeners when the spec asks for a
-/// live `/metrics` scrape.
-enum Front {
-    Bare(Middleware),
-    Http(HttpCluster),
-}
-
-impl Front {
-    fn mw(&self) -> &Middleware {
-        match self {
-            Front::Bare(mw) => mw,
-            Front::Http(c) => c.middleware(),
-        }
-    }
-
-    fn scrape_addr(&self) -> Option<SocketAddr> {
-        match self {
-            Front::Bare(_) => None,
-            Front::Http(c) => Some(c.addrs()[0]),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Front::Bare(mw) => mw.shutdown(),
-            Front::Http(c) => c.shutdown(),
-        }
-    }
-}
+/// The families a mid-run scrape must find: the driver's and the
+/// runtime's counters.
+const SCRAPE_FAMILIES: [&str; 2] = ["ccm_load_requests_total", "ccm_rt_reads_total"];
 
 /// What one phase (warm-up or measurement) delivered. Digests are XOR
 /// folds over the per-client stream digests, so the value is independent
@@ -211,7 +174,7 @@ fn drive_phase(
                 &mut parts[j % clients],
             );
         }
-        let scraped = scrape.map(scrape_ok);
+        let scraped = scrape.map(|a| scrape_ok(a, &SCRAPE_FAMILIES));
         (fold(parts), scraped, writes)
     } else {
         assert!(mix.is_none(), "write mix requires deterministic mode");
@@ -219,27 +182,13 @@ fn drive_phase(
             let joins: Vec<_> = (0..clients).map(|k| s.spawn(move || part(k))).collect();
             // Scrape while the clients are in flight: the run report's
             // `metrics_scrape` certifies the exposition is live mid-load.
-            let scraped = scrape.map(scrape_ok);
+            let scraped = scrape.map(|a| scrape_ok(a, &SCRAPE_FAMILIES));
             let parts = joins
                 .into_iter()
                 .map(|j| j.join().expect("load client panicked"))
                 .collect();
             (fold(parts), scraped, 0)
         })
-    }
-}
-
-/// `GET /metrics` from one node and check that both the driver's and the
-/// runtime's counter families are present.
-fn scrape_ok(addr: SocketAddr) -> bool {
-    match ccm_httpd::client::get(addr, "/metrics") {
-        Ok(r) => {
-            let body = String::from_utf8_lossy(&r.body);
-            r.status == 200
-                && body.contains("ccm_load_requests_total")
-                && body.contains("ccm_rt_reads_total")
-        }
-        Err(_) => false,
     }
 }
 
@@ -304,20 +253,14 @@ fn run_inner(spec: &LoadSpec, backend: &str, transport: Option<Arc<dyn Transport
         admission: spec.admission_ghosts.map(AdmissionConfig::new),
         ..RtConfig::default()
     };
-    let front = match (transport, spec.serve_metrics) {
-        (None, false) => Front::Bare(Middleware::start(cfg, catalog.clone(), store.clone())),
-        (None, true) => Front::Http(HttpCluster::start(cfg, catalog.clone(), store.clone())),
-        (Some(t), false) => {
-            Front::Bare(Middleware::start_on(cfg, catalog.clone(), store.clone(), t))
-        }
-        (Some(t), true) => Front::Http(HttpCluster::start_on(
-            cfg,
-            catalog.clone(),
-            store.clone(),
-            t,
-        )),
-    };
-    let mw = front.mw();
+    let cluster = Cluster::start(
+        cfg,
+        catalog.clone(),
+        store.clone(),
+        transport,
+        spec.serve_metrics,
+    );
+    let mw = cluster.mw();
     let clients = spec.total_clients();
 
     let phase_latency = |phase: &str| {
@@ -373,7 +316,7 @@ fn run_inner(spec: &LoadSpec, backend: &str, transport: Option<Arc<dyn Transport
         &mut shadow,
         &latency,
         &phase_requests("measure"),
-        front.scrape_addr(),
+        cluster.scrape_addr(),
     );
     let elapsed = started.elapsed().as_secs_f64().max(1e-9);
     mw.quiesce();
@@ -471,6 +414,6 @@ fn run_inner(spec: &LoadSpec, backend: &str, transport: Option<Arc<dyn Transport
         mb_per_s: out.bytes as f64 / (1024.0 * 1024.0) / elapsed,
         latency,
     };
-    front.shutdown();
+    cluster.shutdown();
     report
 }

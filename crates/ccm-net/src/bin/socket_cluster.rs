@@ -37,26 +37,26 @@
 //! used in place of the paper's perfect directory. Byte verification holds
 //! across the transition, and the run prints the hint-accuracy counters.
 //!
-//! With `--serve` the workload runs through per-node HTTP front ends
-//! (`GET /file/<id>`) instead of direct middleware handles, and the
-//! process then stays up serving `/metrics` (Prometheus text) and
-//! `/debug/trace` (JSON) on every node — point `ccmtop` or `curl` at the
-//! printed addresses; Ctrl-C to exit.
+//! With `--front <policy>` (local, round-robin, consistent-hash,
+//! content-aware, load-aware) the workload instead goes through
+//! `ccm-front`'s front tier: requests arrive round-robin at per-node HTTP
+//! endpoints, the chosen policy picks the serving node (handing the
+//! request off when that is not the arrival endpoint; `local` never
+//! does), and the cooperative caching middleware serves the blocks over
+//! this crate's TCP peer transport. Every body is verified against the
+//! backing store and the per-node dispatch counters are printed on
+//! shutdown.
 //!
-//! With `--front <policy>` (round-robin, consistent-hash, content-aware,
-//! load-aware) the workload instead goes through `ccm-front`'s dispatching
-//! front tier: requests arrive round-robin at per-node HTTP endpoints, the
-//! chosen policy picks the serving node (handing the request off when that
-//! is not the arrival endpoint), and the cooperative caching middleware
-//! serves the blocks over this crate's TCP peer transport. Every body is
-//! verified against the backing store and the per-node dispatch counters
-//! are printed on shutdown.
+//! With `--serve` the same front-tier run (policy `local` unless
+//! `--front` names another) warms the cluster, and the process then stays
+//! up serving `/file/<id>`, `/metrics` (Prometheus text), and
+//! `/debug/trace` (JSON) on every endpoint — point `ccmtop` or `curl` at
+//! the printed addresses; Ctrl-C to exit.
 
 use ccm_core::{
     AdmissionConfig, BlockId, DirectoryKind, FileId, NodeId, ReplacementPolicy, BLOCK_SIZE,
 };
 use ccm_front::{CcmBackend, FrontBackend, FrontClient, FrontTier, PolicyKind};
-use ccm_httpd::HttpCluster;
 use ccm_load::LoadSpec;
 use ccm_net::TcpLan;
 use ccm_obs::Registry;
@@ -86,7 +86,7 @@ fn main() {
     let front = args.iter().position(|a| a == "--front").map(|i| {
         assert!(
             i + 1 < args.len(),
-            "--front needs a policy (round-robin, consistent-hash, content-aware, load-aware)"
+            "--front needs a policy (local, round-robin, consistent-hash, content-aware, load-aware)"
         );
         let policy = PolicyKind::parse(&args[i + 1])
             .unwrap_or_else(|| panic!("unknown dispatch policy {:?}", args[i + 1]));
@@ -155,8 +155,9 @@ fn main() {
     let capacity_blocks = (total_blocks / (2 * nodes)).max(8);
 
     // One registry spans every layer: the TCP transport's per-link series,
-    // the middleware's hit-class counters, and (with --serve) the HTTP
-    // front end's latency histograms all land in the same /metrics page.
+    // the middleware's hit-class counters, and (with --front or --serve)
+    // the front tier's latency histograms all land in the same /metrics
+    // page.
     let registry = Registry::new();
     let lan = Arc::new(TcpLan::loopback_obs(nodes, &registry).expect("bind loopback listeners"));
     for i in 0..nodes {
@@ -175,12 +176,8 @@ fn main() {
         write_mix_demo(cfg, catalog, lan, &wl, ops);
         return;
     }
-    if serve {
-        serve_http(cfg, catalog, store, lan, ops);
-        return;
-    }
-    if let Some(policy) = front {
-        front_demo(cfg, catalog, store, lan, &wl, ops, policy);
+    if let Some(policy) = front.or(serve.then_some(PolicyKind::Local)) {
+        front_demo(cfg, catalog, store, lan, &wl, ops, policy, serve);
         return;
     }
     if join {
@@ -227,7 +224,7 @@ fn main() {
     mw.quiesce();
     mw.check_invariants();
     let stats = mw.stats();
-    let fallbacks = mw.store_fallbacks();
+    let fallbacks = stats.store_fallbacks;
     let net = lan.net_stats();
 
     let accesses = stats.local_hits + stats.remote_hits + stats.disk_reads;
@@ -481,11 +478,13 @@ fn write_mix_demo(
     }
 }
 
-/// `--front <policy>`: the dispatching front tier over the TCP peer
+/// `--front <policy>` / `--serve`: the front tier over the TCP peer
 /// transport. Requests arrive round-robin at the per-node endpoints (as
 /// rotating DNS would deliver them), the policy picks the serving node,
 /// and the cooperative caching middleware serves the blocks. Prints the
-/// per-node dispatch counters and the cache hit breakdown on shutdown.
+/// per-node dispatch counters and the cache hit breakdown; then, with
+/// `serve`, keeps the endpoints up until killed instead of shutting down.
+#[allow(clippy::too_many_arguments)]
 fn front_demo(
     cfg: RtConfig,
     catalog: Catalog,
@@ -494,6 +493,7 @@ fn front_demo(
     wl: &ccm_traces::Workload,
     ops: u64,
     policy: PolicyKind,
+    serve: bool,
 ) {
     let nodes = cfg.nodes;
     let registry = cfg
@@ -511,7 +511,9 @@ fn front_demo(
     let tier = FrontTier::start(backend, dispatch, registry);
     println!();
     for (i, addr) in tier.addrs().iter().enumerate() {
-        println!("endpoint {i}: http://{addr}  (GET /file/<id>, /front/stats, /metrics)");
+        println!(
+            "endpoint {i}: http://{addr}  (GET /file/<id>, /front/stats, /metrics, /debug/trace)"
+        );
     }
 
     // One keep-alive connection per endpoint; request i arrives at
@@ -557,49 +559,20 @@ fn front_demo(
     );
     println!("every byte verified through the front door — front tier OK");
     drop(conns);
+    if serve {
+        let addrs: Vec<String> = tier.addrs().iter().map(|a| a.to_string()).collect();
+        println!(
+            "scrape:  cargo run -p ccm-obs --bin ccmtop -- {}",
+            addrs.join(" ")
+        );
+        println!("serving until killed (Ctrl-C)");
+        loop {
+            std::thread::park();
+        }
+    }
     tier.shutdown();
     match Arc::try_unwrap(mw) {
         Ok(mw) => mw.shutdown(),
         Err(_) => { /* a handle outlived us; Drop will clean up */ }
-    }
-}
-
-/// `--serve`: HTTP front ends over the TCP peer transport. Warms the
-/// cluster with `ops` verified HTTP reads, then serves until killed.
-fn serve_http(
-    cfg: RtConfig,
-    catalog: Catalog,
-    store: Arc<dyn BlockStore>,
-    lan: Arc<TcpLan>,
-    ops: u64,
-) {
-    let nodes = cfg.nodes;
-    let cluster = HttpCluster::start_on(cfg, catalog.clone(), store.clone(), lan);
-    println!();
-    for (i, addr) in cluster.addrs().iter().enumerate() {
-        println!("node {i}: http://{addr}  (GET /file/<id>, /metrics, /debug/trace)");
-    }
-
-    let check_store = store.clone();
-    let check_catalog = catalog.clone();
-    let report = ccm_httpd::client::load_run(
-        cluster.addrs(),
-        catalog.num_files() as u32,
-        nodes,
-        (ops as usize) / nodes,
-        move |id, body| body == read_file_direct(&*check_store, &check_catalog, FileId(id)),
-    );
-    println!(
-        "\nwarmup: {} HTTP reads ok, {} failed — bodies verified against the backing store",
-        report.ok, report.failed
-    );
-    let addrs: Vec<String> = cluster.addrs().iter().map(|a| a.to_string()).collect();
-    println!(
-        "scrape:  cargo run -p ccm-obs --bin ccmtop -- {}",
-        addrs.join(" ")
-    );
-    println!("serving until killed (Ctrl-C)");
-    loop {
-        std::thread::park();
     }
 }

@@ -66,7 +66,7 @@ fn tcp_cluster_matches_channel_lan_bit_for_bit() {
         "protocol statistics diverge between backends"
     );
     assert_eq!(
-        chan.fallbacks, tcp.fallbacks,
+        chan.stats.store_fallbacks, tcp.stats.store_fallbacks,
         "fallback counts diverge between backends"
     );
     // The workload must actually exercise the wire: remote fetches happened
@@ -127,7 +127,7 @@ fn peer_link_reestablishes_after_crash_and_restart() {
     // new dial over the previously severed link.
     let g = FileId(7);
     mw.handle(victim).read_file(g);
-    let fallbacks_before = mw.store_fallbacks();
+    let fallbacks_before = mw.stats().store_fallbacks;
     let hits_before = mw.stats().remote_hits;
     let got = mw.handle(reader).read_file(g);
     assert_eq!(
@@ -140,7 +140,7 @@ fn peer_link_reestablishes_after_crash_and_restart() {
         "post-restart read did not travel the re-established link"
     );
     assert_eq!(
-        mw.store_fallbacks(),
+        mw.stats().store_fallbacks,
         fallbacks_before,
         "re-established link must serve without disk fallback"
     );

@@ -1,11 +1,12 @@
 //! `ccmtop`: scrape every node of a running cluster's `/metrics` endpoint
 //! and render a per-node live table — hit-class breakdown, eviction and
-//! forwarding activity, HTTP load, and fetch-latency quantiles.
+//! forwarding activity, HTTP load (the front tier's per-node dispatch
+//! counters and inflight gauges), and fetch-latency quantiles.
 //!
 //! Usage:
 //!   ccmtop [--watch <secs>] <host:port> [<host:port> ...]
 //!
-//! Addresses are the HTTP listeners printed by `socket_cluster --serve`.
+//! Addresses are the HTTP endpoints printed by `socket_cluster --serve`.
 //! Without `--watch` it scrapes once and exits (scriptable); with it, the
 //! table refreshes in place until interrupted. The scraper is std-only:
 //! one short-lived TCP connection and a plain HTTP/1.1 GET per node.
@@ -83,6 +84,16 @@ fn get(series: &BTreeMap<SeriesKey, f64>, name: &str, labels: &[(&str, &str)]) -
         .collect();
     key.sort();
     series.get(&(name.to_string(), key)).copied().unwrap_or(0.0)
+}
+
+/// Sum of every series of family `name` whose `label` is `value`, over all
+/// its other labels.
+fn sum_where(series: &BTreeMap<SeriesKey, f64>, name: &str, label: &str, value: &str) -> f64 {
+    series
+        .iter()
+        .filter(|((n, ls), _)| n == name && ls.iter().any(|(k, v)| k == label && v == value))
+        .map(|(_, v)| v)
+        .sum()
 }
 
 /// Distinct values of `label` across all series of family `name`, sorted.
@@ -181,19 +192,9 @@ fn render(series: &BTreeMap<SeriesKey, f64>, errors: &[String]) {
         } else {
             0.0
         };
-        let http = get(
-            series,
-            "ccm_http_responses_total",
-            &[("node", n), ("status", "2xx")],
-        ) + get(
-            series,
-            "ccm_http_responses_total",
-            &[("node", n), ("status", "4xx")],
-        ) + get(
-            series,
-            "ccm_http_responses_total",
-            &[("node", n), ("status", "5xx")],
-        );
+        // File requests the front tier dispatched to this node, under
+        // whatever policy.
+        let http = sum_where(series, "ccm_front_dispatch_total", "node", n);
         println!(
             "{:<5} {:>9} {:>9} {:>9} {:>9} {:>6.1} {:>8} {:>8} {:>7} {:>9} {:>9}",
             n,
@@ -206,7 +207,7 @@ fn render(series: &BTreeMap<SeriesKey, f64>, errors: &[String]) {
             get(series, "ccm_rt_forwards_total", &[("node", n)]),
             get(series, "ccm_rt_store_blocks", &[("node", n)]),
             http,
-            get(series, "ccm_http_inflight", &[("node", n)]),
+            get(series, "ccm_front_inflight", &[("node", n)]),
         );
     }
     if nodes.is_empty() {

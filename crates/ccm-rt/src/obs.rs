@@ -46,9 +46,9 @@
 //! hit whose bytes had to come from the backing store (the §3 race) counts
 //! as `fallback`, not `remote` — unlike `CacheStats`, which tallies the
 //! protocol decision. The two views reconcile through
-//! `ccm_rt_store_fallbacks_total`, which is the exact migration of the old
-//! `Middleware::store_fallbacks` atomic (all fallback sites, including
-//! eviction forwarding's disk re-read). `ccm_rt_move_fallbacks_total`
+//! `ccm_rt_store_fallbacks_total`, which counts every store fallback (all
+//! fallback sites, including eviction forwarding's disk re-read) and is
+//! what `CacheStats::store_fallbacks` reports. `ccm_rt_move_fallbacks_total`
 //! counts only the fallbacks that happen *outside* a traced read — an
 //! eviction forward, join rebalance, or leave handoff whose source bytes
 //! were already gone — so that `reads_total{class="fallback"} +

@@ -815,15 +815,6 @@ impl Middleware {
         s
     }
 
-    /// Data-plane races resolved through the backing store.
-    ///
-    /// Compatibility shim: the count now lives on the metric registry as
-    /// the per-node `ccm_rt_store_fallbacks_total` family; this returns its
-    /// sum, exactly the old aggregate.
-    pub fn store_fallbacks(&self) -> u64 {
-        self.shared.obs.store_fallbacks()
-    }
-
     /// `node`'s disk-service statistics: physical reads, coalesce and
     /// readahead hits, queue high-water mark, injected faults.
     ///
@@ -856,15 +847,21 @@ impl Middleware {
         &self.shared.obs.trace
     }
 
-    /// Refresh snapshot-time gauges (directory occupancy; takes the cache
-    /// lock briefly) and scrape the registry.
-    pub fn obs_snapshot(&self) -> Snapshot {
+    /// Refresh the snapshot-time gauges (directory occupancy, membership
+    /// epoch; takes the cache lock briefly). Exporters that render the
+    /// registry themselves call this before each scrape.
+    pub fn refresh_gauges(&self) {
         let resident = self.shared.cache.lock().resident_blocks();
         self.shared.obs.directory_blocks.set(resident as i64);
         self.shared
             .obs
             .epoch
             .set(self.shared.membership.epoch() as i64);
+    }
+
+    /// Refresh the snapshot-time gauges and scrape the registry.
+    pub fn obs_snapshot(&self) -> Snapshot {
+        self.refresh_gauges();
         self.shared.obs.registry.snapshot()
     }
 
@@ -1692,7 +1689,7 @@ mod tests {
             s.remote_hits > 0,
             "second reader should hit node 0's masters"
         );
-        assert_eq!(mw.store_fallbacks(), 0, "no races in sequential use");
+        assert_eq!(s.store_fallbacks, 0, "no races in sequential use");
         mw.check_invariants();
         mw.shutdown();
     }
@@ -1909,7 +1906,7 @@ mod tests {
             assert_eq!(got, want, "file {f} wrong after node failure");
         }
         assert!(
-            mw.store_fallbacks() > 0,
+            mw.stats().store_fallbacks > 0,
             "fallbacks must have covered the dead node"
         );
         drop(mw);
@@ -2062,9 +2059,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_shim_equals_registry_fallback_counters() {
-        // Equivalence pin for the store_fallbacks migration: the legacy
-        // accessors and the registry family must always agree. Kill a
+    fn stats_fallbacks_equal_registry_counters() {
+        // Equivalence pin for the store_fallbacks migration: the stats
+        // field and the registry family must always agree. Kill a
         // node's service thread behind the protocol's back to force
         // fallbacks (same shape as node_failure_degrades_to_store_fallback).
         let cat = catalog(6, 20_000);
@@ -2089,9 +2086,8 @@ mod tests {
         for f in 0..6u32 {
             mw.handle(NodeId(1)).read_file(FileId(f));
         }
-        let direct = mw.store_fallbacks();
+        let direct = mw.stats().store_fallbacks;
         assert!(direct > 0, "dead node must force fallbacks");
-        assert_eq!(mw.stats().store_fallbacks, direct);
         assert_eq!(
             mw.obs_snapshot()
                 .counter_sum("ccm_rt_store_fallbacks_total"),

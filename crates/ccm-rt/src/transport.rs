@@ -4,8 +4,8 @@
 //! peer traffic. Two backends implement it: the in-process channel [`Lan`]
 //! defined here (the original emulated LAN), and `ccm-net`'s `TcpLan`, which
 //! moves the same [`PeerMsg`] traffic over real TCP sockets. [`Middleware`],
-//! the `ChaosLan` fault injector, and `ccm-httpd` are all written against
-//! the trait and run unchanged over either backend.
+//! the `ChaosLan` fault injector, and `ccm-front`'s HTTP tier are all
+//! written against the trait and run unchanged over either backend.
 //!
 //! In the channel backend each node owns an unbounded receiver; any thread
 //! holding a [`Lan`] can address any node. Data-plane replies travel on

@@ -329,11 +329,10 @@ pub fn fnv1a(digest: &mut u64, bytes: &[u8]) {
 pub struct DriveOutcome {
     /// FNV-1a digest over every delivered byte, in op order.
     pub digest: u64,
-    /// Protocol counters at the end of the drive.
+    /// Protocol counters at the end of the drive (`store_fallbacks` must
+    /// be 0 for a quiesced single-threaded drive to count as
+    /// deterministic).
     pub stats: CacheStats,
-    /// Store fallbacks (must be 0 for a quiesced single-threaded drive to
-    /// count as deterministic).
-    pub fallbacks: u64,
 }
 
 /// Drive `ops` deterministic single-threaded reads (same seed → same node
@@ -365,7 +364,6 @@ pub fn drive(
     DriveOutcome {
         digest,
         stats: mw.stats(),
-        fallbacks: mw.store_fallbacks(),
     }
 }
 
@@ -610,7 +608,9 @@ pub struct FrontFixture {
     /// The shared metric registry (`ccm_front_*` plus, for CCM kinds,
     /// the full `ccm_rt_*` family).
     pub registry: ccm_obs::Registry,
-    middleware: Option<Arc<Middleware>>,
+    /// The middleware cluster behind a CCM backend (stats, invariants,
+    /// direct writes); `None` for L2S.
+    pub middleware: Option<Arc<Middleware>>,
 }
 
 impl FrontFixture {

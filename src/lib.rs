@@ -21,8 +21,7 @@
 //! | [`rt`] | `ccm-rt` | The protocol as a running, threaded middleware |
 //! | [`disk`] | `ccm-disk` | Asynchronous disk I/O: contiguity scheduling (CcmSched-style), miss coalescing, readahead, and a real file-backed block store |
 //! | [`net`] | `ccm-net` | TCP peer transport: wire codec plus the `TcpLan` socket backend |
-//! | [`httpd`] | `ccm-httpd` | An HTTP/1.x file server on the middleware (real sockets) |
-//! | [`front`] | `ccm-front` | Content-aware HTTP front tier: pluggable dispatch over interchangeable CCM / live-L2S backends |
+//! | [`front`] | `ccm-front` | The HTTP/1.x server and client over the middleware (real sockets): per-node endpoints with pluggable dispatch — local, round-robin, content-aware, … — over interchangeable CCM / live-L2S backends |
 //! | [`obs`] | `ccm-obs` | Observability: lock-free metrics registry, block-path trace ring, Prometheus exposition, `ccmtop` |
 //! | [`load`] | `ccm-load` | Trace-replay load generator for the live cluster, with the runtime-vs-simulator conformance driver |
 //! | [`arrivals`] | `ccm-arrivals` | Seeded open-loop arrival processes: Poisson, diurnal waves, flash crowds, popularity churn |
@@ -77,7 +76,6 @@ pub use ccm_cluster as cluster;
 pub use ccm_core as core;
 pub use ccm_disk as disk;
 pub use ccm_front as front;
-pub use ccm_httpd as httpd;
 pub use ccm_l2s as l2s;
 pub use ccm_load as load;
 pub use ccm_net as net;
